@@ -1,12 +1,13 @@
 // Section 6 validation (beyond the paper's evaluation), in two parts.
 //
-// Part 1 — keyed invalidation under churn: a mixed policy/query stream
+// Part 1 — per-key staleness under churn: a mixed policy/query stream
 // where every insertion targets one hot querier while seven bystander
-// queriers keep executing the same prepared SQL. With per-key invalidation
-// only the hot querier's cached rewrite drops, so bystanders keep hitting
-// the rewrite cache (expected hit rate ~100%, acceptance floor 80%). The
-// same stream re-runs with the cache wholesale-cleared after every insert
-// — the pre-keyed behavior — where bystanders miss every round (~0%).
+// queriers keep executing the same prepared SQL. Cached rewrites validate
+// against per-key version counters, so only the hot querier's cached
+// rewrite goes stale and bystanders keep hitting the rewrite cache
+// (expected hit rate ~100%, acceptance floor 80%). The same stream re-runs
+// with the cache wholesale-cleared after every insert — the pre-keyed
+// behavior — where bystanders miss every round (~0%).
 //
 // Part 2 — total system time (query evaluation + guard regeneration) for
 // a stream of policy insertions and queries, as a function of the
@@ -71,7 +72,7 @@ struct ChurnResult {
 // (the hot querier) through the middleware, then every querier executes
 // its SQL through a session (cache-through). With `wholesale` the rewrite
 // cache is cleared after each insert, emulating invalidation-by-clearing;
-// otherwise the keyed listeners decide what drops. Hit/miss attribution
+// otherwise each entry's version snapshot decides what drops. Hit/miss attribution
 // is per-execute via stats diffs (the stream is single-threaded).
 ChurnResult RunChurnStream(TippersWorld* world, const std::string& prefix,
                            int n_queriers, int rounds, bool wholesale) {
@@ -100,9 +101,9 @@ ChurnResult RunChurnStream(TippersWorld* world, const std::string& prefix,
   for (const auto& querier : queriers) {
     sessions.emplace_back(&sieve, QueryMetadata{querier, "Safety"});
   }
-  // Warm twice: the first execution regenerates guards (whose Put fires a
-  // keyed invalidation for that querier), the second caches against the
-  // settled corpus.
+  // Warm twice: the first execution regenerates guards and caches the
+  // rewrite (its snapshot is taken after that Put), the second hits
+  // against the settled corpus.
   for (int warm = 0; warm < 2; ++warm) {
     for (auto& s : sessions) {
       if (!s.Execute(sql).ok()) return out;
@@ -147,7 +148,7 @@ int main() {
   std::vector<JsonRow> json_rows;
 
   std::printf(
-      "=== Mixed churn stream: keyed invalidation vs wholesale clear ===\n\n");
+      "=== Mixed churn stream: per-key staleness vs wholesale clear ===\n\n");
   const int kChurnQueriers = 8;
   const int kChurnRounds = 40;
   ChurnResult keyed =

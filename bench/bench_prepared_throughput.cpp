@@ -11,9 +11,9 @@
 //                bound parameters per iteration: no cache lookup at all.
 //
 // Also reports the rewrite-cache hit rate of the one-shot loop (expected
-// >= 90% on a repeated query) and that an AddPolicy mid-stream invalidates
-// the affected querier's cached rewrite (keyed invalidation). Emits
-// BENCH_prepared.json.
+// >= 90% on a repeated query) and that an AddPolicy mid-stream stales the
+// affected querier's cached rewrite, which the next execute finds stale
+// and re-prepares (counted in `invalidations`). Emits BENCH_prepared.json.
 
 #include "bench/harness.h"
 #include "sieve/session.h"
@@ -145,9 +145,9 @@ int main() {
           .Set("lookups", static_cast<int64_t>(lookups))
           .Set("hit_rate", hit_rate));
 
-  // Mid-stream policy insert: keyed invalidation must stale this
-  // querier's cached rewrite, and the next execute must still answer
-  // correctly (transparent re-prepare).
+  // Mid-stream policy insert: it must stale this querier's cached
+  // rewrite, and the next execute must still answer correctly
+  // (transparent re-prepare, which finds the cached entry stale).
   RewriteCacheStats before_insert = sieve.rewrite_cache_stats();
   uint64_t epoch_before = sieve.policy_epoch();
   Policy p;

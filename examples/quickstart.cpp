@@ -117,14 +117,16 @@ int main() {
                 rows, batches);
   }
 
-  // 8. AddPolicy bumps the policy epoch: the prepared query transparently
-  //    re-prepares on its next execute, so new policies apply immediately.
+  // 8. AddPolicy bumps the version counter of the grant it adds, which the
+  //    prepared query's rewrite read: the snapshot is stale, so the query
+  //    transparently re-prepares on its next execute and the new policy
+  //    applies immediately.
   Policy john_afternoon = john;
   john_afternoon.object_conditions[1] = ObjectCondition::Range(
       "ts_time", Value::Time(14 * 3600), Value::Time(16 * 3600));
   (void)sieve.AddPolicy(john_afternoon);
   auto after = prepared->Execute({Value::String("2019-09-25")});
-  std::printf("\n-- after AddPolicy (epoch %llu, cache invalidated): %zu "
+  std::printf("\n-- after AddPolicy (epoch %llu, snapshot refreshed): %zu "
               "rows --\n",
               static_cast<unsigned long long>(sieve.policy_epoch()),
               after.ok() ? after->size() : 0);

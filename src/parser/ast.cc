@@ -245,6 +245,20 @@ Result<std::vector<std::string>> CollectParameterSlots(const SelectStmt& stmt) {
   return out;
 }
 
+std::vector<std::string> CollectSubqueryTexts(const SelectStmt& stmt) {
+  std::vector<std::string> out;
+  // Read-only walk (see CollectParameterSlots for the const_cast); the
+  // callback never fails.
+  VisitStmtExprSlots(
+      const_cast<SelectStmt*>(&stmt), [&out](ExprPtr* slot) -> Status {
+        if ((*slot)->kind() == ExprKind::kSubquery) {
+          out.push_back(static_cast<const SubqueryExpr&>(**slot).sql());
+        }
+        return Status::OK();
+      });
+  return out;
+}
+
 Status BindParameters(SelectStmt* stmt, const std::vector<Value>& params) {
   return VisitStmtExprSlots(stmt, [&params](ExprPtr* slot) -> Status {
     if ((*slot)->kind() != ExprKind::kParameter) return Status::OK();

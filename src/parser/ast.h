@@ -93,6 +93,12 @@ struct SelectStmt {
 /// the parser; guards against hand-built ASTs).
 Result<std::vector<std::string>> CollectParameterSlots(const SelectStmt& stmt);
 
+/// SQL text of every scalar subquery written in the statement's
+/// expressions (select items, WHERE and GROUP BY of every set-op arm, CTE
+/// body and derived table), in walk order. Subqueries nested inside those
+/// texts are left unparsed.
+std::vector<std::string> CollectSubqueryTexts(const SelectStmt& stmt);
+
 /// Replaces every ParameterExpr in the statement (WHERE clauses, select
 /// items, GROUP BY, CTE bodies, derived tables, set-op arms) with the
 /// literal `params[slot]`. The statement must be a private clone — callers

@@ -1,5 +1,7 @@
 #include "policy/policy.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace sieve {
@@ -110,6 +112,27 @@ bool GrantMatchesMetadata(const std::string& grant_querier,
     }
   }
   return false;
+}
+
+std::vector<std::pair<std::string, std::string>> GrantKeysFor(
+    const QueryMetadata& md, const GroupResolver* resolver) {
+  std::vector<std::string> queriers{ToLower(md.querier)};
+  if (resolver != nullptr) {
+    for (const std::string& group : resolver->GroupsOf(md.querier)) {
+      std::string g = ToLower(group);
+      if (std::find(queriers.begin(), queriers.end(), g) == queriers.end()) {
+        queriers.push_back(std::move(g));
+      }
+    }
+  }
+  std::vector<std::string> purposes{ToLower(md.purpose)};
+  if (purposes[0] != "any") purposes.push_back("any");
+  std::vector<std::pair<std::string, std::string>> keys;
+  keys.reserve(queriers.size() * purposes.size());
+  for (const std::string& q : queriers) {
+    for (const std::string& p : purposes) keys.emplace_back(q, p);
+  }
+  return keys;
 }
 
 std::vector<Policy> FoldDenyIntoAllow(const Policy& allow, const Policy& deny) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metadata.h"
@@ -97,14 +98,22 @@ bool PolicyMatchesMetadata(const Policy& policy, const QueryMetadata& md,
 
 /// Core of PolicyMatchesMetadata without needing a whole Policy: does a
 /// grant addressed to (grant_querier, grant_purpose) apply to a query with
-/// metadata `md`? Keyed cache invalidation uses this so "which cached
-/// rewrites does this policy affect" shares exact semantics (case-insensitive
-/// match, "any" purpose, group membership) with policy filtering at rewrite
-/// time.
+/// metadata `md`? Incremental guard regeneration and the server's subject
+/// check use this so they share exact semantics (case-insensitive match,
+/// "any" purpose, group membership) with policy filtering at rewrite time.
 bool GrantMatchesMetadata(const std::string& grant_querier,
                           const std::string& grant_purpose,
                           const QueryMetadata& md,
                           const GroupResolver* resolver);
+
+/// The same relation enumerated from the query side: every lower-cased
+/// (querier, purpose) grant key whose policies GrantMatchesMetadata admits
+/// for `md` — md.querier and each of its groups, under md.purpose and
+/// "any", without duplicates. The rewrite cache snapshots these keys'
+/// version counters, so a cached rewrite goes stale exactly when a policy
+/// the rewriter would filter in is added or removed.
+std::vector<std::pair<std::string, std::string>> GrantKeysFor(
+    const QueryMetadata& md, const GroupResolver* resolver);
 
 /// Folds an overlapping deny policy into an allow policy (Section 3.1's
 /// deny-factoring). Both policies must target the same owner and table.

@@ -115,13 +115,8 @@ Result<int64_t> PolicyStore::AddPolicy(Policy policy) {
   by_id_[policy.id] = policies_.size();
   int64_t id = policy.id;
   policies_.push_back(std::move(policy));
-  const Policy& stored = policies_.back();
-  ++key_versions_[LowerKey(stored.querier, stored.purpose, stored.table_name)];
-  size_t& table_count = table_policy_counts_[ToLower(stored.table_name)];
-  bool protection_changed = (table_count == 0);
-  ++table_count;
+  CountMutation(policies_.back(), +1);
   BumpVersion();
-  NotifyMutation(stored, protection_changed);
   return id;
 }
 
@@ -137,6 +132,11 @@ Status PolicyStore::RemovePolicy(int64_t id) {
   policies_.erase(policies_.begin() + static_cast<long>(pos));
   // Rebuild the id map (positions shifted).
   for (size_t i = 0; i < policies_.size(); ++i) by_id_[policies_[i].id] = i;
+  // Count the in-memory change before touching the catalog, so a failed
+  // tombstone below cannot leave cached rewrites of the removed policy
+  // looking valid.
+  CountMutation(removed, -1);
+  BumpVersion();
 
   // Tombstone the persisted rows.
   TableEntry* rp = db_->catalog().Find(kPolicyTable);
@@ -157,23 +157,13 @@ Status PolicyStore::RemovePolicy(int64_t id) {
       SIEVE_RETURN_IF_ERROR(db_->Delete(kConditionTable, rid));
     }
   }
-  ++key_versions_[LowerKey(removed.querier, removed.purpose,
-                           removed.table_name)];
-  std::string table_lower = ToLower(removed.table_name);
-  bool protection_changed = false;
-  auto count_it = table_policy_counts_.find(table_lower);
-  if (count_it != table_policy_counts_.end() && count_it->second > 0) {
-    --count_it->second;
-    protection_changed = (count_it->second == 0);
-  }
-  BumpVersion();
-  NotifyMutation(removed, protection_changed);
   return Status::OK();
 }
 
 Status PolicyStore::LoadFromTables() {
-  policies_.clear();
-  by_id_.clear();
+  // Parse everything into locals first and commit only on success: a
+  // failed reload must not leave an empty corpus behind, which would turn
+  // every protected table into an unprotected one.
   TableEntry* rp = db_->catalog().Find(kPolicyTable);
   TableEntry* roc = db_->catalog().Find(kConditionTable);
   if (rp == nullptr || roc == nullptr) {
@@ -241,36 +231,22 @@ Status PolicyStore::LoadFromTables() {
   });
   SIEVE_RETURN_IF_ERROR(status);
 
-  for (auto& [id, policy] : loaded) {
-    by_id_[id] = policies_.size();
-    next_id_ = std::max(next_id_, id + 1);
-    policies_.push_back(std::move(policy));
-  }
-  std::sort(policies_.begin(), policies_.end(),
+  std::deque<Policy> policies;
+  for (auto& [id, policy] : loaded) policies.push_back(std::move(policy));
+  std::sort(policies.begin(), policies.end(),
             [](const Policy& a, const Policy& b) { return a.id < b.id; });
-  for (size_t i = 0; i < policies_.size(); ++i) by_id_[policies_[i].id] = i;
-  // Corpus-wide change: rebuild the protection counts, bump every loaded
-  // key's version, and report one wholesale event (per-key attribution is
-  // meaningless across a reload).
+  policies_ = std::move(policies);
+  by_id_.clear();
   table_policy_counts_.clear();
-  for (const Policy& p : policies_) {
-    ++key_versions_[LowerKey(p.querier, p.purpose, p.table_name)];
-    ++table_policy_counts_[ToLower(p.table_name)];
+  for (size_t i = 0; i < policies_.size(); ++i) {
+    by_id_[policies_[i].id] = i;
+    next_id_ = std::max(next_id_, policies_[i].id + 1);
+    ++table_policy_counts_[ToLower(policies_[i].table_name)];
   }
+  // Corpus-wide change: one counter every cached rewrite depends on.
+  reload_version_.fetch_add(1);
   BumpVersion();
-  if (listener_) {
-    PolicyMutationEvent event;
-    event.wholesale = true;
-    listener_(event);
-  }
   return Status::OK();
-}
-
-uint64_t PolicyStore::KeyVersion(const std::string& querier,
-                                 const std::string& purpose,
-                                 const std::string& table) const {
-  auto it = key_versions_.find(LowerKey(querier, purpose, table));
-  return it == key_versions_.end() ? 0 : it->second;
 }
 
 size_t PolicyStore::PolicyCountForTable(const std::string& table) const {
@@ -278,15 +254,28 @@ size_t PolicyStore::PolicyCountForTable(const std::string& table) const {
   return it == table_policy_counts_.end() ? 0 : it->second;
 }
 
-void PolicyStore::NotifyMutation(const Policy& policy,
-                                 bool protection_changed) {
-  if (!listener_) return;
-  PolicyMutationEvent event;
-  event.querier = ToLower(policy.querier);
-  event.purpose = ToLower(policy.purpose);
-  event.table = ToLower(policy.table_name);
-  event.protection_changed = protection_changed;
-  listener_(event);
+const VersionCounter& PolicyStore::GrantVersion(const std::string& querier,
+                                                const std::string& purpose,
+                                                const std::string& table) {
+  return grant_versions_.Get(LowerKey(querier, purpose, table));
+}
+
+const VersionCounter& PolicyStore::ProtectionVersion(const std::string& table) {
+  return protection_versions_.Get(ToLower(table));
+}
+
+void PolicyStore::CountMutation(const Policy& policy, int delta) {
+  grant_versions_.Bump(
+      LowerKey(policy.querier, policy.purpose, policy.table_name));
+  std::string table = ToLower(policy.table_name);
+  size_t& count = table_policy_counts_[table];
+  const bool was_protected = count > 0;
+  if (delta > 0) {
+    ++count;
+  } else if (count > 0) {
+    --count;
+  }
+  if (was_protected != (count > 0)) protection_versions_.Bump(table);
 }
 
 const Policy* PolicyStore::FindPolicy(int64_t id) const {

@@ -4,31 +4,15 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/version_counter.h"
 #include "engine/database.h"
 #include "policy/policy.h"
 
 namespace sieve {
-
-/// One corpus mutation, reported to the registered listener so the
-/// middleware can invalidate only the cached rewrites whose dependency keys
-/// the mutation touches. All strings are lower-cased at the source.
-struct PolicyMutationEvent {
-  std::string querier;  ///< grant querier of the policy (user or group)
-  std::string purpose;  ///< grant purpose of the policy
-  std::string table;    ///< protected relation
-  /// True when the mutation flipped the table between unprotected and
-  /// protected (first policy added / last removed): that changes the rewrite
-  /// of *every* querier touching the table, not just the grant's.
-  bool protection_changed = false;
-  /// True for corpus-wide changes (reload) where per-key attribution is
-  /// meaningless; listeners should invalidate everything.
-  bool wholesale = false;
-};
 
 /// Persistent policy corpus. Policies live both in memory (the working set
 /// used by guard generation and the Δ operator) and in two catalog tables,
@@ -54,7 +38,8 @@ class PolicyStore {
   Status RemovePolicy(int64_t id);
 
   /// Reloads the in-memory corpus from rP / rOC (round-trip check and
-  /// recovery path).
+  /// recovery path). All or nothing: a missing catalog table or a malformed
+  /// row returns an error and leaves the current corpus untouched.
   Status LoadFromTables();
 
   size_t size() const { return policies_.size(); }
@@ -81,33 +66,37 @@ class PolicyStore {
 
   /// Monotonic mutation counter, bumped by every corpus change (add,
   /// remove, reload). Together with GuardStore::version it forms the
-  /// middleware's policy epoch — kept as a monotonicity watermark and
-  /// diagnostic; cache validity itself is per-key (see KeyVersion and the
-  /// mutation listener).
+  /// middleware's policy epoch, a diagnostic; cached rewrites validate
+  /// against the per-key counters below instead.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  /// Per-(querier, purpose, table) mutation counter (case-insensitive key):
-  /// how many times policies under that exact grant key changed. 0 when the
-  /// key was never touched.
-  uint64_t KeyVersion(const std::string& querier, const std::string& purpose,
-                      const std::string& table) const;
-
-  /// Number of live policies protecting `table` (case-insensitive).
+  /// Number of live policies protecting `table` (case-insensitive). A
+  /// table is protected iff this is > 0.
   size_t PolicyCountForTable(const std::string& table) const;
 
-  /// Registers the callback fired synchronously inside every corpus
-  /// mutation (AddPolicy, RemovePolicy, LoadFromTables), after the change is
-  /// applied and versions are bumped. At most one listener; the middleware
-  /// owns it. The callback runs under whatever lock the mutator holds and
-  /// must not call back into the store.
-  void set_mutation_listener(std::function<void(const PolicyMutationEvent&)> l) {
-    listener_ = std::move(l);
-  }
+  // -- Per-key version counters (see VersionCounter) --
+  // Snapshotted by the rewrite cache to validate a cached rewrite. Each
+  // lookup creates the counter at 0 when absent, so it needs the same
+  // exclusion as a mutation.
+
+  /// Bumped whenever a policy under this exact (querier, purpose, table)
+  /// grant key is added or removed (case-insensitive, no group expansion).
+  const VersionCounter& GrantVersion(const std::string& querier,
+                                     const std::string& purpose,
+                                     const std::string& table);
+  /// Bumped when `table` turns protected (first policy added) or
+  /// unprotected (last policy removed).
+  const VersionCounter& ProtectionVersion(const std::string& table);
+  /// Bumped by every successful LoadFromTables.
+  const VersionCounter& ReloadVersion() const { return reload_version_; }
 
  private:
   void BumpVersion() { version_.fetch_add(1, std::memory_order_release); }
   Status PersistPolicy(const Policy& policy);
-  void NotifyMutation(const Policy& policy, bool protection_changed);
+  /// Bumps the policy's grant key and adjusts its table's policy count by
+  /// `delta` (+1 add, -1 remove), bumping the protection counter when the
+  /// count crosses zero.
+  void CountMutation(const Policy& policy, int delta);
 
   Database* db_;
   std::deque<Policy> policies_;
@@ -116,11 +105,13 @@ class PolicyStore {
   int64_t next_oc_id_ = 1;
   int64_t logical_clock_ = 1;
   std::atomic<uint64_t> version_{0};
-  /// Lower-cased "querier\x1fpurpose\x1ftable" -> mutation count.
-  std::unordered_map<std::string, uint64_t> key_versions_;
-  /// Lower-cased table -> live policy count (protection transitions).
+  /// Keyed by lower-cased "querier\x1fpurpose\x1ftable".
+  VersionCounters grant_versions_;
+  /// Keyed by lower-cased table.
+  VersionCounters protection_versions_;
+  VersionCounter reload_version_{0};
+  /// Lower-cased table -> live policy count.
   std::unordered_map<std::string, size_t> table_policy_counts_;
-  std::function<void(const PolicyMutationEvent&)> listener_;
 };
 
 }  // namespace sieve

@@ -304,8 +304,7 @@ std::string SieveServer::StatsJson() const {
   AppendJsonKV(&j, "hits", h.cache.hits, false);
   AppendJsonKV(&j, "misses", h.cache.misses, false);
   AppendJsonKV(&j, "invalidations", h.cache.invalidations, false);
-  AppendJsonKV(&j, "evictions", h.cache.evictions, false);
-  AppendJsonKV(&j, "stale_drops", h.cache.stale_drops, true);
+  AppendJsonKV(&j, "evictions", h.cache.evictions, true);
   j += "},\"audit\":{";
   AppendJsonKV(&j, "pending", h.audit_pending, false);
   AppendJsonKV(&j, "dropped", h.audit_dropped, false);

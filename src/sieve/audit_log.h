@@ -20,8 +20,8 @@ namespace sieve {
 ///              Execute whose normalized SQL was not cached);
 ///   kHit     — served from the shared RewriteCache / an already-held
 ///              PreparedQuery snapshot, still valid;
-///   kRefresh — the held snapshot had been marked stale by keyed
-///              invalidation and this execution transparently re-prepared.
+///   kRefresh — the held snapshot was stale (a version counter it read
+///              had moved) and this execution transparently re-prepared.
 enum class AuditCacheState { kMiss, kHit, kRefresh };
 
 const char* AuditCacheStateName(AuditCacheState s);

@@ -16,25 +16,14 @@ bool GuardStore::Key::operator<(const Key& other) const {
   return table < other.table;
 }
 
-void GuardStore::BumpKey(const Key& key) {
-  std::string joined;
-  joined.reserve(key.querier.size() + key.purpose.size() + key.table.size() + 2);
-  joined += key.querier;
-  joined += '\x1f';
-  joined += key.purpose;
-  joined += '\x1f';
-  joined += key.table;
-  ++key_versions_[joined];
-  if (listener_) listener_(GuardMutationEvent{key.querier, key.purpose, key.table});
+std::string GuardStore::Key::Joined() const {
+  return querier + '\x1f' + purpose + '\x1f' + table;
 }
 
-uint64_t GuardStore::KeyVersion(const std::string& querier,
-                                const std::string& purpose,
-                                const std::string& table) const {
-  Key key = Key::Make(querier, purpose, table);
-  std::string joined = key.querier + '\x1f' + key.purpose + '\x1f' + key.table;
-  auto it = key_versions_.find(joined);
-  return it == key_versions_.end() ? 0 : it->second;
+const VersionCounter& GuardStore::GuardVersion(const std::string& querier,
+                                               const std::string& purpose,
+                                               const std::string& table) {
+  return key_versions_.Get(Key::Make(querier, purpose, table).Joined());
 }
 
 Status GuardStore::Init() {
@@ -127,7 +116,7 @@ Result<int64_t> GuardStore::Put(GuardedExpression ge) {
   int64_t id = ge.id;
   memory_[key] = Entry{std::move(ge), /*outdated=*/false};
   BumpVersion();
-  BumpKey(key);
+  key_versions_.Bump(key.Joined());
   return id;
 }
 
@@ -155,7 +144,7 @@ void GuardStore::MarkOutdated(const std::string& querier,
   // Bump even when the key has no guards yet: the policy insert that
   // triggered this call changes what a cached rewrite would produce.
   BumpVersion();
-  BumpKey(key);
+  key_versions_.Bump(key.Joined());
 }
 
 std::vector<GuardKey> GuardStore::MarkOutdatedWhere(
@@ -172,7 +161,7 @@ std::vector<GuardKey> GuardStore::MarkOutdatedWhere(
       BumpVersion();
       bumped = true;
     }
-    BumpKey(key);
+    key_versions_.Bump(key.Joined());
     affected.push_back(GuardKey{key.querier, key.purpose, key.table});
   }
   return affected;

@@ -11,20 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/version_counter.h"
 #include "engine/database.h"
 #include "policy/policy_store.h"
 #include "sieve/guard.h"
 
 namespace sieve {
-
-/// One guarded-expression mutation (Put or MarkOutdated), reported to the
-/// registered listener for keyed cache invalidation. Strings are
-/// lower-cased.
-struct GuardMutationEvent {
-  std::string querier;
-  std::string purpose;
-  std::string table;
-};
 
 /// Identifies a guarded expression, lower-cased (GuardStore keys are
 /// case-insensitive — the engine matches table and querier names with
@@ -106,21 +98,17 @@ class GuardStore {
 
   /// Monotonic mutation counter, bumped when guarded expressions change
   /// (Put) or are invalidated (MarkOutdated). Together with
-  /// PolicyStore::version it forms the middleware's policy epoch — a
-  /// monotonicity watermark; cache validity is per-key.
+  /// PolicyStore::version it forms the middleware's policy epoch, a
+  /// diagnostic; cached rewrites validate against GuardVersion instead.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
-  /// Per-(querier, purpose, table) mutation counter (case-insensitive).
-  uint64_t KeyVersion(const std::string& querier, const std::string& purpose,
-                      const std::string& table) const;
-
-  /// Registers the callback fired synchronously by Put / MarkOutdated /
-  /// MarkOutdatedWhere after the change is applied. At most one listener
-  /// (the middleware); runs under the mutator's lock and must not call back
-  /// into the store.
-  void set_mutation_listener(std::function<void(const GuardMutationEvent&)> l) {
-    listener_ = std::move(l);
-  }
+  /// Per-(querier, purpose, table) counter (case-insensitive), bumped by
+  /// Put / MarkOutdated / MarkOutdatedWhere on that key. Created at 0 when
+  /// absent, so it needs the same exclusion as a mutation; the rewrite
+  /// cache snapshots it (see VersionCounter).
+  const VersionCounter& GuardVersion(const std::string& querier,
+                                     const std::string& purpose,
+                                     const std::string& table);
 
  private:
   void BumpVersion() { version_.fetch_add(1, std::memory_order_release); }
@@ -134,6 +122,8 @@ class GuardStore {
     std::string querier, purpose, table;
     static Key Make(const std::string& querier, const std::string& purpose,
                     const std::string& table);
+    /// "querier\x1fpurpose\x1ftable": the key_versions_ key.
+    std::string Joined() const;
     bool operator<(const Key& other) const;
   };
   struct Entry {
@@ -154,11 +144,8 @@ class GuardStore {
   int64_t next_gg_row_id_ = 1;
   int64_t logical_clock_ = 1;
   std::atomic<uint64_t> version_{0};
-  /// Lower-cased "querier\x1fpurpose\x1ftable" -> mutation count.
-  std::unordered_map<std::string, uint64_t> key_versions_;
-  std::function<void(const GuardMutationEvent&)> listener_;
-
-  void BumpKey(const Key& key);    // bump key version + notify listener
+  /// Keyed by Key::Joined().
+  VersionCounters key_versions_;
 };
 
 }  // namespace sieve

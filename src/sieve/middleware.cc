@@ -20,42 +20,6 @@ SieveMiddleware::~SieveMiddleware() {
   }
 }
 
-void SieveMiddleware::RegisterInvalidationListeners() {
-  // Both listeners fire synchronously inside store mutations — normally
-  // under this middleware's exclusive state_mu_, but also from direct store
-  // calls in tests and benches. RewriteCache has its own leaf mutex and
-  // never calls back into the stores, so there is no lock cycle.
-  policies_.set_mutation_listener([this](const PolicyMutationEvent& e) {
-    if (e.wholesale) {
-      rewrite_cache_.InvalidateAll();
-      return;
-    }
-    if (e.protection_changed) {
-      // First policy added to / last removed from the table: the table
-      // flipped between unprotected and protected, which changes the
-      // rewrite of every querier touching it.
-      rewrite_cache_.InvalidateTable(e.table);
-      return;
-    }
-    // The grant reaches a cached rewrite iff it would be among the
-    // rewrite's relevant policies — same semantics as rewrite-time
-    // filtering (purpose match or "any", querier direct or via group).
-    rewrite_cache_.InvalidateTable(e.table, [&](const PreparedRewrite& rw) {
-      return GrantMatchesMetadata(e.querier, e.purpose,
-                                  QueryMetadata{rw.querier, rw.purpose},
-                                  resolver_);
-    });
-  });
-  guards_.set_mutation_listener([this](const GuardMutationEvent& e) {
-    // A guarded expression belongs to one concrete (querier, purpose) pair
-    // — only that pair's cached rewrites depend on it. Both sides are
-    // lower-cased at the source.
-    rewrite_cache_.InvalidateTable(e.table, [&](const PreparedRewrite& rw) {
-      return rw.querier == e.querier && rw.purpose == e.purpose;
-    });
-  });
-}
-
 Status SieveMiddleware::Init() {
   SIEVE_RETURN_IF_ERROR(policies_.Init());
   SIEVE_RETURN_IF_ERROR(guards_.Init());
@@ -73,8 +37,7 @@ Status SieveMiddleware::Init() {
 
 Result<int64_t> SieveMiddleware::AddPolicy(Policy policy) {
   // Exclusive: waits for in-flight executions/cursors, then mutates the
-  // stores. The mutation listeners fire inside InsertPolicy and mark stale
-  // exactly the cached rewrites whose dependency keys the insert touches.
+  // stores, whose bumped counters stale the cached rewrites that read them.
   std::unique_lock<SharedGate> lock(state_mu_);
   return dynamics_.InsertPolicy(std::move(policy));
 }

@@ -78,22 +78,21 @@ struct MiddlewareHealth {
 /// operator, and submits them to the underlying engine. One instance per
 /// Database.
 ///
-/// ## Sessions, keyed invalidation and the rewrite cache
+/// ## Sessions and the rewrite cache
 ///
 /// The middleware is session-oriented: each querier/connection opens a
 /// cheap SieveSession (see sieve/session.h) and prepares its queries once
 /// — `Prepare` parses and rewrites, `Execute` binds parameters and runs
 /// the cached rewrite, amortizing guard selection across the query
 /// stream. Rewrites live in a shared RewriteCache keyed by (querier,
-/// purpose, engine profile, normalized SQL) and invalidated **per
-/// dependency key**: the middleware registers mutation listeners on the
-/// policy and guard stores, and each mutation event names the
-/// (querier, purpose, table) grant key it touched — only cached rewrites
-/// that reference that table *and* whose metadata the grant reaches
-/// (directly or via group membership, GrantMatchesMetadata) are marked
-/// stale. Unaffected queriers' rewrites keep hitting through sustained
-/// policy churn; the global policy_epoch() remains as a monotonicity
-/// watermark and diagnostic, not as the validity check.
+/// purpose, engine profile, normalized SQL). Each cached rewrite carries a
+/// snapshot of the per-key version counters it read (PreparedRewrite) and
+/// is stale once one of them moves: a policy added or removed under a
+/// grant key that reaches its querier (GrantKeysFor — directly, through a
+/// group, or with purpose "any"), a regenerated or outdated guard of its
+/// own key, a table turning protected or unprotected, or a corpus reload.
+/// Unaffected queriers' rewrites keep hitting through sustained policy
+/// churn; the stores never call into the cache.
 ///
 /// ## Threading
 ///
@@ -121,7 +120,6 @@ class SieveMiddleware {
     audit_log_.set_max_table_rows(
         options_.audit_max_rows < 0 ? 0
                                     : static_cast<size_t>(options_.audit_max_rows));
-    RegisterInvalidationListeners();
   }
 
   /// Best-effort flush of the pending audit ring: enforcement records
@@ -137,9 +135,9 @@ class SieveMiddleware {
   Status Init();
 
   /// Adds a policy through the dynamic manager (marks affected guards
-  /// outdated / regenerates per the configured mode). The store mutation
-  /// listeners invalidate exactly the cached rewrites whose dependency keys
-  /// the insert touches; blocks while queries are executing.
+  /// outdated / regenerates per the configured mode). The counters it
+  /// bumps stale exactly the cached rewrites that depend on them; blocks
+  /// while queries are executing.
   Result<int64_t> AddPolicy(Policy policy);
 
   /// Rewrites without executing (inspection, tests, benches). Bypasses
@@ -167,10 +165,8 @@ class SieveMiddleware {
   Status set_options(const SieveOptions& options);
 
   /// Current policy epoch: the sum of the policy- and guard-store version
-  /// counters. Cached rewrites carry the epoch they were produced under —
-  /// used only as a monotonicity watermark (the cache refuses to absorb an
-  /// entry older than one it has seen); validity is the per-entry stale
-  /// flag driven by keyed invalidation.
+  /// counters. A diagnostic (STATS, benches); cached rewrites validate
+  /// against per-key counters, not against the epoch.
   uint64_t policy_epoch() const {
     return policies_.version() + guards_.version();
   }
@@ -197,10 +193,10 @@ class SieveMiddleware {
 
   /// True when (querier, purpose) is a subject of the policy corpus: some
   /// policy's grant reaches this metadata directly or through group
-  /// membership — the same GrantMatchesMetadata semantics the rewriter and
-  /// keyed invalidation use, so authentication and enforcement can never
-  /// disagree about who a policy addresses. Takes the state gate shared
-  /// (the server's HELLO check runs on the general lane).
+  /// membership — the same GrantMatchesMetadata semantics the rewriter
+  /// uses, so authentication and enforcement can never disagree about who
+  /// a policy addresses. Takes the state gate shared (the server's HELLO
+  /// check runs on the general lane).
   bool IsKnownSubject(const QueryMetadata& md) const;
 
   /// The shared prepared-rewrite cache (benches/tests: Clear() emulates
@@ -232,11 +228,6 @@ class SieveMiddleware {
   friend class SieveSession;
   friend class PreparedQuery;
   friend class ResultCursor;
-
-  /// Hooks the policy/guard stores' mutation listeners to keyed rewrite-
-  /// cache invalidation. Registered at construction so even direct store
-  /// mutations (tests, benches) invalidate correctly.
-  void RegisterInvalidationListeners();
 
   Database* db_;
   const GroupResolver* resolver_;

@@ -353,11 +353,26 @@ void CollectTables(const SelectStmt& stmt, std::vector<std::string>* out) {
   }
 }
 
+// Adds the distinct base tables read by the scalar subqueries written in
+// the statement, parsing each subquery's text and recursing into the
+// subqueries it contains. Unparsable text reads nothing: execution
+// re-parses it and fails the same way.
+void CollectSubqueryTables(const SelectStmt& stmt,
+                           std::vector<std::string>* out) {
+  for (const std::string& sql : CollectSubqueryTexts(stmt)) {
+    auto sub = Parser::Parse(sql);
+    if (!sub.ok()) continue;
+    CollectTables(**sub, out);
+    CollectSubqueryTables(**sub, out);
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> CollectReferencedTables(const SelectStmt& stmt) {
   std::vector<std::string> tables;
   CollectTables(stmt, &tables);
+  CollectSubqueryTables(stmt, &tables);
   return tables;
 }
 
@@ -369,6 +384,20 @@ Result<RewriteResult> QueryRewriter::RewriteSql(const std::string& sql,
 
 Result<RewriteResult> QueryRewriter::Rewrite(const SelectStmt& query,
                                              const QueryMetadata& md) {
+  // A scalar subquery written in the query runs as SQL text at execution
+  // time, out of reach of the table replacement below, so it may only read
+  // unprotected tables. (Subqueries of policy conditions enter the
+  // rewritten statement later and are not inspected here.)
+  std::vector<std::string> subquery_tables;
+  CollectSubqueryTables(query, &subquery_tables);
+  for (const std::string& table : subquery_tables) {
+    if (policies_->PolicyCountForTable(table) > 0) {
+      return Status::AccessDenied("scalar subquery reads protected table " +
+                                  table +
+                                  "; use a join or a derived table instead");
+    }
+  }
+
   RewriteResult result;
   result.stmt = query.Clone();
 
@@ -381,14 +410,7 @@ Result<RewriteResult> QueryRewriter::Rewrite(const SelectStmt& query,
 
   for (const std::string& table : tables) {
     // A table is protected iff any policy (for any querier) targets it.
-    bool protected_table = false;
-    for (const Policy& p : policies_->policies()) {
-      if (EqualsIgnoreCase(p.table_name, table)) {
-        protected_table = true;
-        break;
-      }
-    }
-    if (!protected_table) continue;
+    if (policies_->PolicyCountForTable(table) == 0) continue;
 
     const TableEntry* entry = db_->catalog().Find(table);
     if (entry == nullptr) continue;

@@ -59,16 +59,19 @@ struct RewriteResult {
 };
 
 /// Distinct base-table names referenced anywhere in `stmt` — the FROM
-/// clauses of every union arm, subqueries and CTE bodies — deduplicated
-/// case-insensitively, original casing preserved. The session layer records
-/// these (lower-cased) as a prepared rewrite's table dependencies for keyed
-/// cache invalidation.
+/// clauses of every union arm, derived tables and CTE bodies, and the
+/// tables read by scalar subqueries written in its expressions —
+/// deduplicated case-insensitively, original casing preserved. The session
+/// layer records these (lower-cased) as a prepared rewrite's dependency
+/// tables, whose version counters validate the cached rewrite.
 std::vector<std::string> CollectReferencedTables(const SelectStmt& stmt);
 
 /// Sieve's query rewriter (Section 5): for every table in the query that has
 /// policies, build (or reuse) the guarded policy expression, pick the access
 /// strategy with the cost model + EXPLAIN, choose inline vs Δ per guard, and
-/// emit a WITH clause that replaces the table.
+/// emit a WITH clause that replaces the table. A query whose own scalar
+/// subqueries read a protected table fails with kAccessDenied: subquery
+/// text executes as written, so it cannot be rewritten.
 ///
 /// The plans this shapes are what the parallel executor later fans out: the
 /// MySQL-profile IndexGuards strategy emits a UNION of guard arms (driven

@@ -9,7 +9,7 @@ namespace sieve {
 namespace {
 
 /// Writer-vs-reader livelock guard: an Execute retries when a policy
-/// writer invalidated its freshly re-prepared snapshot before the staleness
+/// writer staled its freshly re-prepared snapshot before the staleness
 /// re-check. Each retry re-prepares authoritatively, so this bound is only
 /// reachable under a pathological back-to-back AddPolicy storm targeting
 /// this query's own dependency keys.
@@ -28,6 +28,27 @@ Result<SelectStmtPtr> BindTemplate(const PreparedRewrite& rewrite,
   SelectStmtPtr bound = rewrite.stmt->Clone();
   SIEVE_RETURN_IF_ERROR(BindParameters(bound.get(), params));
   return bound;
+}
+
+// The version counters a rewrite of `md` over `tables` depended on: per
+// table the grant keys GrantKeysFor(md) reaches, the querier's own guard
+// key and the table's protection counter, plus the corpus reload counter.
+std::vector<VersionSnapshot> SnapshotVersions(
+    PolicyStore& policies, GuardStore& guards, const GroupResolver* resolver,
+    const QueryMetadata& md, const std::vector<std::string>& tables) {
+  std::vector<VersionSnapshot> out{
+      VersionSnapshot::Of(policies.ReloadVersion())};
+  const auto grant_keys = GrantKeysFor(md, resolver);
+  for (const std::string& table : tables) {
+    out.push_back(VersionSnapshot::Of(policies.ProtectionVersion(table)));
+    for (const auto& [querier, purpose] : grant_keys) {
+      out.push_back(
+          VersionSnapshot::Of(policies.GrantVersion(querier, purpose, table)));
+    }
+    out.push_back(VersionSnapshot::Of(
+        guards.GuardVersion(md.querier, md.purpose, table)));
+  }
+  return out;
 }
 
 // Per-request deadline folded into the configured budget: the effective
@@ -51,9 +72,9 @@ Result<std::shared_ptr<const PreparedRewrite>> SieveSession::PrepareRewrite(
 
   if (optimistic) {
     // Lock-free fast path. Non-authoritative: a hit is only a hint —
-    // Execute re-validates the entry's stale flag under the shared state
-    // lock before running it — and its miss is not recorded; the
-    // authoritative retry below counts it.
+    // Execute re-validates the entry under the shared state lock before
+    // running it — and its miss is not recorded; the authoritative retry
+    // below counts it.
     if (auto hit = mw->rewrite_cache_.Lookup(key, /*authoritative=*/false)) {
       return hit;
     }
@@ -78,12 +99,8 @@ Result<std::shared_ptr<const PreparedRewrite>> SieveSession::PrepareRewrite(
   SIEVE_ASSIGN_OR_RETURN(SelectStmtPtr stmt, Parser::Parse(normalized_sql));
   auto entry = std::make_shared<PreparedRewrite>();
   SIEVE_ASSIGN_OR_RETURN(entry->params, CollectParameterSlots(*stmt));
-  // Dependency set, from the *original* statement before rewriting (the
-  // rewrite replaces table refs with CTEs): every base table it references,
-  // plus the metadata it is prepared for — the keys whose policy/guard
-  // mutations must invalidate this entry.
-  entry->querier = ToLower(md.querier);
-  entry->purpose = ToLower(md.purpose);
+  // Dependency tables, from the *original* statement before rewriting (the
+  // rewrite replaces table refs with CTEs).
   for (const std::string& table : CollectReferencedTables(*stmt)) {
     entry->dep_tables.push_back(ToLower(table));
   }
@@ -94,10 +111,11 @@ Result<std::shared_ptr<const PreparedRewrite>> SieveSession::PrepareRewrite(
   entry->rewritten_sql = std::move(rewrite.sql);
   entry->tables = std::move(rewrite.tables);
   entry->default_denied = rewrite.default_denied;
-  // Epoch is read *after* the rewrite: regenerating guards bumped the
-  // guard-store version, and the cache orders entries by the epoch they
-  // were produced under. Stable here — mutations need this same lock.
-  entry->epoch = mw->policy_epoch();
+  // Snapshot *after* the rewrite: regenerating guards bumped this
+  // querier's guard keys, which must not stale the rewrite that did it.
+  // Nothing moves in between — every mutation needs this same lock.
+  entry->versions = SnapshotVersions(mw->policies_, mw->guards_,
+                                     mw->resolver_, md, entry->dep_tables);
   mw->rewrite_cache_.Insert(key, entry);
   return std::shared_ptr<const PreparedRewrite>(std::move(entry));
 }
@@ -174,9 +192,9 @@ Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params,
   for (int attempt = 0; attempt < kMaxRefreshRetries; ++attempt) {
     {
       std::shared_lock<SharedGate> lock(mw_->state_mu_);
-      // Keyed invalidation: only a mutation touching one of *this*
-      // rewrite's dependency keys marks it stale — unrelated AddPolicy
-      // churn leaves the snapshot valid and execution proceeds.
+      // Only a mutation of a counter *this* rewrite read stales it —
+      // unrelated AddPolicy churn leaves the snapshot valid. Writers hold
+      // the gate exclusively, so the verdict holds while we execute.
       if (!rewrite_->stale()) {
         SIEVE_ASSIGN_OR_RETURN(SelectStmtPtr bound,
                                BindTemplate(*rewrite_, params));

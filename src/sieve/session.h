@@ -136,12 +136,13 @@ class ResultCursor {
 /// A query prepared once through SieveSession::Prepare: parsed, rewritten
 /// against the querier's policies and cached, ready to execute repeatedly
 /// with different parameter bindings. Holds an immutable snapshot of the
-/// rewrite; when a policy or guard mutation touches one of *this* query's
-/// dependency keys — its querier/purpose or a table it references — the
-/// snapshot is marked stale and the next Execute transparently re-prepares
-/// (through the shared cache). Mutations on other queriers' keys leave the
-/// snapshot valid, so results always reflect a consistent policy corpus
-/// without paying for unrelated churn.
+/// rewrite; when a policy or guard mutation moves one of the version
+/// counters the snapshot read — a grant reaching its querier, its own
+/// guards, the protection of a table it reads — the snapshot is stale and
+/// the next Execute transparently re-prepares (through the shared cache).
+/// Mutations on other queriers' keys leave the snapshot valid, so results
+/// always reflect a consistent policy corpus without paying for unrelated
+/// churn.
 ///
 /// Single-threaded like its session; movable. Results are byte-identical
 /// — rows, row order and ExecStats — to a one-shot
@@ -190,8 +191,8 @@ class PreparedQuery {
   /// Whitespace-normalized original SQL.
   const std::string& sql() const { return rewrite_->normalized_sql; }
   /// Rewrite snapshot this query currently executes (diagnostics: per-table
-  /// strategy, default-deny flag, rewritten SQL, epoch). Refreshed when an
-  /// Execute finds the snapshot marked stale by keyed invalidation.
+  /// strategy, default-deny flag, rewritten SQL). Refreshed when an
+  /// Execute finds the snapshot stale.
   std::shared_ptr<const PreparedRewrite> rewrite() const { return rewrite_; }
   const QueryMetadata& metadata() const { return md_; }
 
@@ -238,7 +239,7 @@ class PreparedQuery {
 /// pool hands out). Sessions are cheap — a pointer and the querier's
 /// metadata — so a server creates one per connection; any number may
 /// prepare and execute concurrently against one SieveMiddleware, sharing
-/// its rewrite cache and keyed-invalidation machinery.
+/// its rewrite cache.
 ///
 /// Use one session (and its prepared queries) from one thread at a time.
 class SieveSession {
@@ -247,9 +248,10 @@ class SieveSession {
       : mw_(middleware), md_(std::move(md)) {}
 
   /// Parses and rewrites `sql` once (served from the shared RewriteCache
-  /// when the same querier prepared the same normalized SQL and no mutation
-  /// has touched its dependency keys since). `?` and `:name` placeholders
-  /// become parameter slots bound at Execute time.
+  /// when the same querier prepared the same normalized SQL and the cached
+  /// rewrite is not stale). `?` and `:name` placeholders become parameter
+  /// slots bound at Execute time. kAccessDenied when a scalar subquery
+  /// written in `sql` reads a protected table.
   Result<PreparedQuery> Prepare(const std::string& sql);
 
   /// Prepare + Execute in one call (still cache-amortized).

@@ -1,8 +1,13 @@
 #include "policy/policy.h"
 
+#include <algorithm>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "policy/policy_store.h"
+#include "sieve/session.h"
 #include "tests/test_fixtures.h"
 
 namespace sieve {
@@ -66,6 +71,43 @@ TEST(PolicyTest, AnyPurposeMatchesEverything) {
                                     &campus.groups()));
   EXPECT_TRUE(
       PolicyMatchesMetadata(p, {"alice", "whatever"}, &campus.groups()));
+}
+
+TEST(PolicyTest, GrantKeysAgreeWithGrantMatching) {
+  // The rewrite cache validates a rewrite by the counters of the grant keys
+  // GrantKeysFor enumerates, while the rewriter filters policies with
+  // GrantMatchesMetadata: both must name exactly the same grants, or a
+  // cached rewrite would miss a policy change that alters it.
+  MiniCampus campus;
+  const std::vector<std::string> principals = {
+      "alice", "bob", "carol", "eve", "faculty", "students", "ALICE",
+      "Students"};
+  const std::vector<std::string> purposes = {"any", "ANY", "Analytics",
+                                             "analytics", "Billing"};
+  size_t matched = 0;
+  for (const std::string& querier : principals) {
+    for (const std::string& purpose : purposes) {
+      const QueryMetadata md{querier, purpose};
+      const auto keys = GrantKeysFor(md, &campus.groups());
+      EXPECT_EQ(std::set(keys.begin(), keys.end()).size(), keys.size())
+          << "duplicate grant key for " << querier << "/" << purpose;
+      for (const std::string& grant_querier : principals) {
+        for (const std::string& grant_purpose : purposes) {
+          const bool matches = GrantMatchesMetadata(
+              grant_querier, grant_purpose, md, &campus.groups());
+          const bool listed =
+              std::find(keys.begin(), keys.end(),
+                        std::pair{ToLower(grant_querier),
+                                  ToLower(grant_purpose)}) != keys.end();
+          EXPECT_EQ(listed, matches)
+              << "grant " << grant_querier << "/" << grant_purpose
+              << " for " << querier << "/" << purpose;
+          matched += matches ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 TEST(FoldDenyTest, DenyCutsMiddleOfAllowRange) {
@@ -165,6 +207,49 @@ TEST_F(PolicyStoreTest, LoadFromTablesRoundTrip) {
   EXPECT_TRUE(found_range);
   // Semantics survive the round trip.
   EXPECT_EQ(loaded.ObjectExpr()->ToSql(), original.ObjectExpr()->ToSql());
+}
+
+TEST(PolicyStoreReloadTest, FailedReloadKeepsCorpusAndEnforcement) {
+  // Regression: LoadFromTables cleared the corpus before parsing, so one
+  // malformed rOC row failed the reload *and* left wifi unprotected —
+  // alice's fresh SELECT returned all 600 rows instead of her 120, while
+  // her cached snapshot still looked valid.
+  MiniCampus campus;
+  SieveMiddleware sieve(&campus.db(), &campus.groups());
+  ASSERT_TRUE(sieve.Init().ok());
+  auto id = sieve.AddPolicy(campus.MakePolicy(1, "alice", "any"));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(sieve.AddPolicy(campus.MakePolicy(2, "alice", "any")).ok());
+  const QueryMetadata alice{"alice", "any"};
+  const std::string sql = "SELECT * FROM wifi";
+  SieveSession session(&sieve, alice);
+  auto prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  auto before = prepared->Execute();
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->size(), 120u);
+
+  ASSERT_TRUE(campus.db()
+                  .Insert(PolicyStore::kConditionTable,
+                          Row{Value::Int(1000), Value::Int(*id),
+                              Value::String("owner"), Value::String("="),
+                              Value::String("bogus:1")})
+                  .ok());
+  EXPECT_FALSE(sieve.policies().LoadFromTables().ok());
+  EXPECT_EQ(sieve.policies().size(), 2u);
+  EXPECT_EQ(sieve.policies().PolicyCountForTable("wifi"), 2u);
+
+  // The cached snapshot is still right, and so is a fresh rewrite.
+  auto cached = prepared->Execute();
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->size(), 120u);
+  sieve.rewrite_cache().Clear();
+  auto fresh = sieve.Execute(sql, alice);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->size(), 120u);
+  auto reference = sieve.ExecuteReference(sql, alice);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->size(), 120u);
 }
 
 TEST_F(PolicyStoreTest, RemovePolicy) {

@@ -1,7 +1,8 @@
 // Unit tests for the session-oriented middleware API: SieveSession /
-// PreparedQuery / ResultCursor, parameter binding edge cases, the keyed
-// (per-dependency) rewrite-cache invalidation, LRU eviction and the
-// validated SieveOptions update path.
+// PreparedQuery / ResultCursor, parameter binding edge cases, the
+// pull-validated rewrite cache (which mutations stale which snapshots),
+// LRU eviction, scalar-subquery enforcement and the validated
+// SieveOptions update path.
 
 #include "sieve/session.h"
 
@@ -251,11 +252,13 @@ TEST_F(SessionTest, RewriteCacheHitsOnRepeatAndInvalidatesOnAddPolicy) {
   EXPECT_EQ(commented->rewrite().get(), prepared->rewrite().get())
       << "comment-only variants must share the cached rewrite";
 
-  // AddPolicy for alice touches this rewrite's dependency key: the next
+  // AddPolicy for alice moves a counter this rewrite read: the next
   // Execute transparently re-prepares and reflects the new corpus.
+  auto snapshot = prepared->rewrite();
   uint64_t epoch_before = sieve_.policy_epoch();
   ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(5, "alice", "any")).ok());
   EXPECT_GT(sieve_.policy_epoch(), epoch_before);
+  EXPECT_TRUE(snapshot->stale());
 
   auto result = prepared->Execute({Value::Int(3)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -266,9 +269,11 @@ TEST_F(SessionTest, RewriteCacheHitsOnRepeatAndInvalidatesOnAddPolicy) {
   bool saw_owner5 = false;
   for (const auto& row : result->rows) saw_owner5 |= row[2].AsInt() == 5;
   EXPECT_TRUE(saw_owner5) << "post-epoch execute must see the new policy";
-  EXPECT_GT(prepared->rewrite()->epoch, epoch_before)
+  EXPECT_NE(prepared->rewrite().get(), snapshot.get())
       << "prepared query must have refreshed its snapshot";
-  EXPECT_GE(sieve_.rewrite_cache_stats().invalidations, 1u);
+  EXPECT_FALSE(prepared->rewrite()->stale());
+  EXPECT_GE(sieve_.rewrite_cache_stats().invalidations, 1u)
+      << "the refresh found the cached entry stale";
 }
 
 TEST_F(SessionTest, CursorStreamsIdenticalRowsAndStats) {
@@ -373,44 +378,31 @@ TEST_F(SessionTest, CursorRejectsZeroBatchWithoutEndingStream) {
   EXPECT_GT(rest->size(), 0u);
 }
 
-TEST_F(SessionTest, OutOfOrderInsertIsDroppedNotAdopted) {
-  // Regression: Insert used to *adopt* an older entry's epoch (rolling the
-  // cache epoch backward, clearing valid entries, and serving a
-  // pre-policy-change rewrite as current). An out-of-order insert must be
-  // refused instead.
-  RewriteCache cache;
-  auto fresh = std::make_shared<PreparedRewrite>();
-  fresh->epoch = 5;
-  cache.Insert("k", fresh);
-  auto stale = std::make_shared<PreparedRewrite>();
-  stale->epoch = 3;  // produced before a mutation the cache already saw
-  cache.Insert("k2", stale);
-  EXPECT_EQ(cache.size(), 1u) << "stale-epoch entry must be dropped";
-  EXPECT_NE(cache.Lookup("k"), nullptr) << "fresh entry must survive";
-  EXPECT_EQ(cache.Lookup("k2"), nullptr);
-  EXPECT_EQ(cache.stats().stale_drops, 1u);
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-  // The refused entry is non-resident and thus invisible to keyed
-  // invalidation — it must come back marked stale so its holder
-  // re-prepares instead of executing the pre-mutation rewrite.
-  EXPECT_TRUE(stale->stale());
-  EXPECT_FALSE(fresh->stale());
-}
+TEST_F(SessionTest, EntryWhoseSnapshotPredatesAMutationIsAMiss) {
+  // A rewrite produced before a mutation (it raced the writer, or a holder
+  // kept it past eviction) must never be served as current: its own
+  // snapshot says it is stale, wherever it sits.
+  VersionCounter counter{0};
+  auto before = std::make_shared<PreparedRewrite>();
+  before->versions.push_back(VersionSnapshot::Of(counter));
+  counter.fetch_add(1);  // the mutation lands after the rewrite read it
+  auto after = std::make_shared<PreparedRewrite>();
+  after->versions.push_back(VersionSnapshot::Of(counter));
+  EXPECT_TRUE(before->stale());
+  EXPECT_FALSE(after->stale());
 
-TEST_F(SessionTest, ReinsertMarksDisplacedRewriteStale) {
-  // If a key is ever re-inserted, holders of the displaced shared_ptr must
-  // re-prepare rather than diverge from what the cache now serves.
   RewriteCache cache;
-  auto first = std::make_shared<PreparedRewrite>();
-  first->epoch = 1;
-  auto second = std::make_shared<PreparedRewrite>();
-  second->epoch = 2;
-  cache.Insert("k", first);
-  cache.Insert("k", second);
-  EXPECT_TRUE(first->stale());
-  EXPECT_FALSE(second->stale());
-  EXPECT_EQ(cache.Lookup("k").get(), second.get());
-  EXPECT_EQ(cache.size(), 1u);
+  cache.Insert("before", before);
+  cache.Insert("after", after);
+  EXPECT_EQ(cache.Lookup("before"), nullptr);
+  EXPECT_EQ(cache.Lookup("after").get(), after.get());
+  RewriteCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.invalidations, 1u) << "found stale at lookup";
+  EXPECT_EQ(cache.size(), 1u) << "the stale entry is dropped";
+  EXPECT_EQ(cache.Lookup("before"), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 1u) << "counted once";
 }
 
 TEST_F(SessionTest, NonAuthoritativeProbeMissIsNotCounted) {
@@ -428,11 +420,7 @@ TEST_F(SessionTest, LruEvictionSparesJustHitEntry) {
   // unordered_map — an arbitrary, possibly hottest, entry. True LRU must
   // evict the least recently used entry, never one that just hit.
   RewriteCache cache(/*capacity=*/2);
-  auto mk = [] {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    return e;
-  };
+  auto mk = [] { return std::make_shared<PreparedRewrite>(); };
   cache.Insert("a", mk());
   cache.Insert("b", mk());
   ASSERT_NE(cache.Lookup("a"), nullptr);  // refreshes a's recency
@@ -446,105 +434,6 @@ TEST_F(SessionTest, LruEvictionSparesJustHitEntry) {
   EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
-TEST_F(SessionTest, EvictedHeldEntryStillReachableByKeyedInvalidation) {
-  // Regression: eviction removed an entry from the per-table index while a
-  // PreparedQuery still held it, so a policy mutation *after* eviction
-  // could never mark the held entry stale — the holder silently executed
-  // a pre-mutation rewrite forever. Evicted-but-held entries must stay
-  // reachable by keyed invalidation.
-  RewriteCache cache(/*capacity=*/1);
-  auto mk = [](std::string querier, std::vector<std::string> tables) {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    e->querier = std::move(querier);
-    e->purpose = "any";
-    e->dep_tables = std::move(tables);
-    return e;
-  };
-  auto held = mk("alice", {"wifi"});
-  cache.Insert("a", held);
-  cache.Insert("b", mk("bob", {"wifi"}));  // evicts a; `held` lives on
-  ASSERT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(held->stale()) << "eviction alone must not invalidate";
-
-  // A mutation on alice's grant key reaches the evicted-but-held entry and
-  // spares the resident non-matching one.
-  size_t n = cache.InvalidateTable("wifi", [](const PreparedRewrite& rw) {
-    return rw.querier == "alice";
-  });
-  EXPECT_EQ(n, 1u);
-  EXPECT_TRUE(held->stale());
-  EXPECT_NE(cache.Lookup("b"), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST_F(SessionTest, EvictedHeldEntryReachedByWholesaleInvalidation) {
-  RewriteCache cache(/*capacity=*/1);
-  auto mk = [](std::vector<std::string> tables) {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    e->dep_tables = std::move(tables);
-    return e;
-  };
-  auto held = mk({"wifi", "sensors"});  // multi-table: must count once
-  cache.Insert("a", held);
-  cache.Insert("b", mk({"wifi"}));  // evicts a
-  EXPECT_EQ(cache.InvalidateAll(), 2u) << "resident + evicted-held, no dup";
-  EXPECT_TRUE(held->stale());
-}
-
-TEST_F(SessionTest, DroppedHolderEndsEvictedEntrysInvalidationReach) {
-  // Once the last holder releases an evicted entry there is nothing left
-  // to invalidate: the weak slot expires and must not be counted.
-  RewriteCache cache(/*capacity=*/1);
-  auto mk = [](std::vector<std::string> tables) {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    e->dep_tables = std::move(tables);
-    return e;
-  };
-  auto held = mk({"wifi"});
-  cache.Insert("a", held);
-  cache.Insert("b", mk({"wifi"}));  // evicts a while `held` references it
-  held.reset();                     // last holder gone; weak slot expires
-  EXPECT_EQ(cache.InvalidateTable("wifi"), 1u) << "only the resident entry";
-}
-
-TEST_F(SessionTest, KeyedInvalidationOnlyTouchesMatchingEntries) {
-  RewriteCache cache;
-  auto mk = [](std::string querier, std::vector<std::string> tables) {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    e->querier = std::move(querier);
-    e->purpose = "any";
-    e->dep_tables = std::move(tables);
-    return e;
-  };
-  auto alice = mk("alice", {"wifi"});
-  auto bob = mk("bob", {"wifi"});
-  auto carol = mk("carol", {"sensors"});
-  cache.Insert("a", alice);
-  cache.Insert("b", bob);
-  cache.Insert("c", carol);
-
-  size_t n = cache.InvalidateTable("wifi", [](const PreparedRewrite& rw) {
-    return rw.querier == "alice";
-  });
-  EXPECT_EQ(n, 1u);
-  EXPECT_TRUE(alice->stale());
-  EXPECT_FALSE(bob->stale());
-  EXPECT_FALSE(carol->stale());
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-
-  // Null predicate: every entry on the table (protection transitions).
-  EXPECT_EQ(cache.InvalidateTable("wifi"), 1u);
-  EXPECT_TRUE(bob->stale());
-  EXPECT_FALSE(carol->stale()) << "other table's entries stay untouched";
-}
-
 TEST_F(SessionTest, UnrelatedAddPolicyKeepsOtherQueriersRewrites) {
   ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(2, "bob", "any")).ok());
   SieveSession alice_session(&sieve_, md_);
@@ -555,7 +444,7 @@ TEST_F(SessionTest, UnrelatedAddPolicyKeepsOtherQueriersRewrites) {
   auto a_before = pa->rewrite();
   auto b_before = pb->rewrite();
 
-  // A policy granted to bob invalidates bob's snapshot, not alice's.
+  // A policy granted to bob stales bob's snapshot, not alice's.
   ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(3, "bob", "any")).ok());
   EXPECT_FALSE(a_before->stale());
   EXPECT_TRUE(b_before->stale());
@@ -577,29 +466,38 @@ TEST_F(SessionTest, UnrelatedAddPolicyKeepsOtherQueriersRewrites) {
   EXPECT_EQ(rb->size(), oracle->size());
 }
 
+// Fills the shared cache with synthetic entries until `n` entries have
+// been evicted since the call.
+void ChurnUntilEvicted(RewriteCache& cache, uint64_t n) {
+  const uint64_t target = cache.stats().evictions + n;
+  for (size_t i = 0; cache.stats().evictions < target; ++i) {
+    ASSERT_LT(i, 2 * RewriteCache::kMaxEntries) << "churn never evicted";
+    cache.Insert("churn-" + std::to_string(i),
+                 std::make_shared<PreparedRewrite>());
+  }
+}
+
 TEST_F(SessionTest, AddPolicyAfterEvictionStillInvalidatesHeldRewrite) {
   // End-to-end shape of the eviction-reach regression: alice prepares, cache
   // churn (here synthetic one-shot entries) evicts her resident entry, and
   // only THEN a policy for alice lands. Her PreparedQuery must re-prepare
-  // and serve the post-mutation rows, not the snapshot it prepared under.
+  // and serve the post-mutation rows, not the snapshot it prepared under;
+  // bob's evicted snapshot, whose keys the policy misses, stays valid.
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(2, "bob", "any")).ok());
   SieveSession session(&sieve_, md_);
+  SieveSession bob_session(&sieve_, QueryMetadata{"bob", "any"});
   auto pa = session.Prepare("SELECT * FROM wifi WHERE wifiAP = 1");
-  ASSERT_TRUE(pa.ok());
+  auto pb = bob_session.Prepare("SELECT * FROM wifi WHERE wifiAP = 1");
+  ASSERT_TRUE(pa.ok() && pb.ok());
   auto before = pa->rewrite();
 
-  RewriteCache& cache = sieve_.rewrite_cache();
-  const uint64_t epoch = sieve_.policy_epoch();
-  for (size_t i = 0; cache.stats().evictions == 0; ++i) {
-    ASSERT_LT(i, 2 * RewriteCache::kMaxEntries) << "churn never evicted";
-    auto filler = std::make_shared<PreparedRewrite>();
-    filler->epoch = epoch;
-    cache.Insert("churn-" + std::to_string(i), filler);
-  }
+  ChurnUntilEvicted(sieve_.rewrite_cache(), 2);
   EXPECT_FALSE(before->stale()) << "eviction alone must not invalidate";
 
   ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(5, "alice", "any")).ok());
   EXPECT_TRUE(before->stale())
       << "post-eviction AddPolicy must reach the held rewrite";
+  EXPECT_FALSE(pb->rewrite()->stale());
 
   auto rows = pa->Execute();
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
@@ -611,7 +509,7 @@ TEST_F(SessionTest, AddPolicyAfterEvictionStillInvalidatesHeldRewrite) {
 }
 
 TEST_F(SessionTest, GroupGrantInvalidatesMemberQueriersRewrites) {
-  // bob ∈ students: a policy granted to the group must invalidate bob's
+  // bob ∈ students: a policy granted to the group must stale bob's
   // cached rewrite (the grant reaches him through membership) while
   // leaving alice's (faculty) untouched.
   ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(2, "bob", "any")).ok());
@@ -682,10 +580,12 @@ TEST_F(SessionTest, SetOptionsTimeoutAppliesToPreparedExecution) {
 TEST_F(SessionTest, UnboundParameterInsideScalarSubqueryFailsCleanly) {
   // Placeholders inside scalar subqueries are documented as unsupported:
   // the subquery text is re-parsed per outer row after binding happened.
+  // (The subquery reads unprotected aps; one over a protected table is
+  // refused at Prepare, see ScalarSubqueryOverProtectedTableIsDenied.)
   SieveSession session(&sieve_, md_);
   auto prepared = session.Prepare(
-      "SELECT * FROM wifi WHERE owner = "
-      "(SELECT MAX(w2.owner) FROM wifi AS w2 WHERE w2.wifiAP = ?)");
+      "SELECT * FROM wifi WHERE wifiAP = "
+      "(SELECT MAX(a.ap) FROM aps AS a WHERE a.building = ?)");
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   // The outer statement has no visible slot; the stray inner placeholder
   // surfaces as a clean execution error, not a crash.
@@ -693,6 +593,208 @@ TEST_F(SessionTest, UnboundParameterInsideScalarSubqueryFailsCleanly) {
   auto result = prepared->Execute();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
+}
+
+// A policy on the aps lookup table (no owner column: one AP is visible).
+Policy ApsPolicy(const std::string& querier, int ap) {
+  Policy p;
+  p.table_name = "aps";
+  p.owner = Value::Int(ap);
+  p.querier = querier;
+  p.purpose = "any";
+  p.object_conditions.push_back(ObjectCondition::Eq("ap", Value::Int(ap)));
+  return p;
+}
+
+TEST_F(SessionTest, ScalarSubqueryOverProtectedTableIsDenied) {
+  // Regression: scalar subquery text executes as written, so it read the
+  // protected wifi table unrestricted — owner 5's data leaked to alice
+  // through a comparison value and through a select-list count.
+  auto direct = sieve_.Execute("SELECT * FROM wifi AS w WHERE w.owner = 5", md_);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->size(), 0u);
+
+  SieveSession session(&sieve_, md_);
+  for (const char* sql : {
+           "SELECT * FROM aps WHERE ap = "
+           "(SELECT MAX(w.wifiAP) FROM wifi AS w WHERE w.owner = 5)",
+           "SELECT a.ap, (SELECT COUNT(*) FROM wifi AS w WHERE w.owner = 5) "
+           "AS n FROM aps AS a",
+           // Nested: inside a derived table, and inside another subquery.
+           "SELECT * FROM (SELECT * FROM aps WHERE ap = "
+           "(SELECT MAX(w.wifiAP) FROM wifi AS w)) AS d",
+           "SELECT * FROM aps WHERE ap = (SELECT MAX(b.ap) FROM aps AS b "
+           "WHERE b.ap = (SELECT MIN(w.wifiAP) FROM wifi AS w))",
+       }) {
+    auto prepared = session.Prepare(sql);
+    ASSERT_FALSE(prepared.ok()) << sql;
+    EXPECT_EQ(prepared.status().code(), StatusCode::kAccessDenied) << sql;
+    auto one_shot = sieve_.Execute(sql, md_);
+    ASSERT_FALSE(one_shot.ok()) << sql;
+    EXPECT_EQ(one_shot.status().code(), StatusCode::kAccessDenied) << sql;
+  }
+  EXPECT_EQ(sieve_.rewrite_cache().size(), 1u) << "only the direct query";
+
+  // A subquery over an unprotected table stays allowed.
+  const std::string ok_sql =
+      "SELECT * FROM wifi WHERE wifiAP = (SELECT MAX(a.ap) FROM aps AS a)";
+  auto allowed = session.Execute(ok_sql);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  auto oracle = sieve_.ExecuteReference(ok_sql, md_);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Fingerprints(*allowed), Fingerprints(*oracle));
+  EXPECT_GT(allowed->size(), 0u);
+}
+
+TEST_F(SessionTest, SubqueryTableTurningProtectedDeniesAcceptedQuery) {
+  // Subquery tables are dependencies: the first policy on aps stales an
+  // accepted query whose subquery reads aps, and its re-prepare is denied.
+  SieveSession session(&sieve_, md_);
+  auto prepared = session.Prepare(
+      "SELECT * FROM wifi WHERE wifiAP = (SELECT MAX(a.ap) FROM aps AS a)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(prepared->Execute().ok());
+
+  ASSERT_TRUE(sieve_.AddPolicy(ApsPolicy("bob", 0)).ok());
+  EXPECT_TRUE(prepared->rewrite()->stale());
+  auto denied = prepared->Execute();
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.status().code(), StatusCode::kAccessDenied);
+}
+
+TEST_F(SessionTest, TableProtectionTransitionsStaleEveryQuerier) {
+  // The first policy on aps (granted to alice) flips the table to
+  // default-deny for everyone else, so bob's snapshot of the open table
+  // goes stale; removing the policy reopens it.
+  const std::string sql = "SELECT * FROM aps";
+  const QueryMetadata bob{"bob", "any"};
+  SieveSession session(&sieve_, bob);
+  auto prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  auto open = prepared->Execute();
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(open->size(), 6u);
+
+  auto id = sieve_.AddPolicy(ApsPolicy("alice", 2));
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(prepared->rewrite()->stale());
+  auto closed = prepared->Execute();
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed->size(), 0u);
+  auto oracle = sieve_.ExecuteReference(sql, bob);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Fingerprints(*closed), Fingerprints(*oracle));
+
+  ASSERT_TRUE(sieve_.policies().RemovePolicy(*id).ok());
+  EXPECT_TRUE(prepared->rewrite()->stale());
+  auto reopened = prepared->Execute();
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened->size(), 6u);
+}
+
+TEST_F(SessionTest, PolicyOnJoinedTableStalesJoinQuery) {
+  // A join depends on both its tables: a policy on aps (for bob) stales
+  // alice's wifi–aps join, which becomes default-denied on aps.
+  const std::string sql =
+      "SELECT w.id, a.building FROM wifi w, aps a WHERE w.wifiAP = a.ap";
+  SieveSession session(&sieve_, md_);
+  auto prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  auto before = prepared->Execute();
+  ASSERT_TRUE(before.ok());
+  EXPECT_GT(before->size(), 0u);
+
+  ASSERT_TRUE(sieve_.AddPolicy(ApsPolicy("bob", 1)).ok());
+  EXPECT_TRUE(prepared->rewrite()->stale());
+  auto after = prepared->Execute();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto oracle = sieve_.ExecuteReference(sql, md_);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Fingerprints(*after), Fingerprints(*oracle));
+  EXPECT_EQ(after->size(), 0u);
+}
+
+TEST_F(SessionTest, LoadFromTablesStalesEveryHeldSnapshot) {
+  // A corpus reload stales every snapshot — resident or evicted-but-held.
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(2, "bob", "any")).ok());
+  const std::string sql = "SELECT * FROM wifi WHERE wifiAP = 3";
+  SieveSession alice_session(&sieve_, md_);
+  auto pa = alice_session.Prepare(sql);
+  ASSERT_TRUE(pa.ok());
+  ChurnUntilEvicted(sieve_.rewrite_cache(), 1);  // alice's entry is evicted
+  SieveSession bob_session(&sieve_, QueryMetadata{"bob", "any"});
+  auto pb = bob_session.Prepare(sql);
+  ASSERT_TRUE(pb.ok());
+  EXPECT_FALSE(pa->rewrite()->stale());
+  EXPECT_FALSE(pb->rewrite()->stale());
+
+  ASSERT_TRUE(sieve_.policies().LoadFromTables().ok());
+  EXPECT_TRUE(pa->rewrite()->stale());
+  EXPECT_TRUE(pb->rewrite()->stale());
+  for (PreparedQuery* prepared : {&*pa, &*pb}) {
+    auto rows = prepared->Execute();
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    auto oracle = sieve_.ExecuteReference(sql, prepared->metadata());
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(Fingerprints(*rows), Fingerprints(*oracle));
+    EXPECT_FALSE(prepared->rewrite()->stale());
+  }
+}
+
+TEST_F(SessionTest, AnyPurposeGroupGrantStalesButOtherPurposeDoesNot) {
+  // alice ∈ faculty. A faculty/"any" grant reaches her Analytics query
+  // (group and purpose "any" at once); an alice/Billing grant does not.
+  const QueryMetadata analytics{"alice", "Analytics"};
+  const std::string sql = "SELECT * FROM wifi WHERE wifiAP = 2";
+  SieveSession session(&sieve_, analytics);
+  auto prepared = session.Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Execute().ok());
+
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(3, "faculty", "any")).ok());
+  EXPECT_TRUE(prepared->rewrite()->stale());
+  auto rows = prepared->Execute();
+  ASSERT_TRUE(rows.ok());
+  auto oracle = sieve_.ExecuteReference(sql, analytics);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Fingerprints(*rows), Fingerprints(*oracle));
+  bool saw_owner3 = false;
+  for (const auto& row : rows->rows) saw_owner3 |= row[2].AsInt() == 3;
+  EXPECT_TRUE(saw_owner3);
+
+  auto snapshot = prepared->rewrite();
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(4, "alice", "Billing")).ok());
+  EXPECT_FALSE(snapshot->stale());
+  RewriteCacheStats before = sieve_.rewrite_cache_stats();
+  ASSERT_TRUE(prepared->Execute().ok());
+  EXPECT_EQ(prepared->rewrite().get(), snapshot.get());
+  EXPECT_EQ(sieve_.rewrite_cache_stats().misses, before.misses);
+}
+
+TEST_F(SessionTest, HoldersOfOneKeyConvergeAfterMutation) {
+  // Two sessions of one querier share a cached entry. After a mutation on
+  // its keys the first to execute re-prepares and re-inserts; the second
+  // then refreshes from the cache onto that same rewrite.
+  const std::string sql = "SELECT * FROM wifi WHERE wifiAP = 4";
+  SieveSession s1(&sieve_, md_);
+  SieveSession s2(&sieve_, md_);
+  auto p1 = s1.Prepare(sql);
+  auto p2 = s2.Prepare(sql);
+  ASSERT_TRUE(p1.ok() && p2.ok());
+  ASSERT_EQ(p1->rewrite().get(), p2->rewrite().get());
+
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(6, "alice", "any")).ok());
+  ASSERT_TRUE(p1->Execute().ok());
+  RewriteCacheStats before = sieve_.rewrite_cache_stats();
+  auto rows = p2->Execute();
+  ASSERT_TRUE(rows.ok());
+  RewriteCacheStats after = sieve_.rewrite_cache_stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(p1->rewrite().get(), p2->rewrite().get());
+  auto oracle = sieve_.ExecuteReference(sql, md_);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(Fingerprints(*rows), Fingerprints(*oracle));
 }
 
 }  // namespace
