@@ -76,7 +76,7 @@ Result<std::unique_ptr<QueryCursor>> Database::OpenCursor(
   ctx.metadata = metadata;
   ctx.timeout_seconds = timeout_seconds;
   // 0 = adaptive per-operator sizing (see EffectiveBatchSize); negatives
-  // clamp to the legacy row-at-a-time size.
+  // clamp to capacity-1 batches.
   ctx.batch_size = batch_size < 0 ? 1 : batch_size;
   // One CTE cache per query, shared by every worker context so each CTE
   // body materializes exactly once no matter which worker gets there first.

@@ -58,8 +58,9 @@ class Database : public EngineHooks {
   /// scan pipelines plus the UNION / hash-join / hash-aggregate / EXCEPT
   /// operator interiors — on an internal thread pool (1 = serial, the
   /// default). `batch_size` is the rows-per-batch unit of the vectorized
-  /// executor (1 reproduces legacy row-at-a-time execution; 0 picks an
-  /// adaptive per-operator size from the row width; negatives clamp to 1).
+  /// executor (1 runs capacity-1 batches through the same operators; 0
+  /// picks an adaptive per-operator size from the row width; negatives
+  /// clamp to 1).
   /// Every (num_threads, batch_size) combination reproduces identical
   /// rows, row order and ExecStats.
   Result<ResultSet> ExecuteSql(const std::string& sql,

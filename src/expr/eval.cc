@@ -394,32 +394,6 @@ Status Evaluator::EvalPredicateBatch(const Expr& expr, const RowBatch& batch,
   return Status::OK();
 }
 
-Status Evaluator::EvalPredicateBatch(const Expr& expr, const Row* rows,
-                                     size_t num_rows,
-                                     std::vector<uint8_t>* pass) {
-  pass->assign(num_rows, 0);
-  if (num_rows == 0) return Status::OK();
-  bool uniform = true;
-  for (size_t i = 1; i < num_rows; ++i) {
-    if (rows[i].size() != rows[0].size()) {
-      uniform = false;
-      break;
-    }
-  }
-  if (!uniform) {
-    // Ragged rows cannot stage into one columnar batch; the row path is
-    // identical by the batch/row equivalence contract.
-    for (size_t i = 0; i < num_rows; ++i) {
-      SIEVE_ASSIGN_OR_RETURN(bool v, EvalPredicate(expr, rows[i]));
-      (*pass)[i] = v ? 1 : 0;
-    }
-    return Status::OK();
-  }
-  RowBatch staged(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) staged.AppendExternalRow(rows[i]);
-  return EvalPredicateBatch(expr, staged, pass);
-}
-
 Status Evaluator::EvalBoolBatch(const Expr& expr, const RowBatch& batch,
                                 const std::vector<uint32_t>& active,
                                 std::vector<int8_t>* tri) {

@@ -75,13 +75,6 @@ class Evaluator {
   Status EvalPredicateBatch(const Expr& expr, const RowBatch& batch,
                             std::vector<uint8_t>* pass);
 
-  /// Convenience overload over a plain row span (tests, callers without a
-  /// columnar batch): stages the rows into a temporary batch. Rows of
-  /// non-uniform arity fall back to per-row EvalPredicate — identical by
-  /// the batch/row equivalence contract.
-  Status EvalPredicateBatch(const Expr& expr, const Row* rows,
-                            size_t num_rows, std::vector<uint8_t>* pass);
-
  private:
   /// Tri-state truth value per active row: -1 NULL, 0 false, 1 true.
   /// `active` holds active positions (indices into the batch's selection

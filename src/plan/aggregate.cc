@@ -191,11 +191,11 @@ Status HashAggregateOperator::OpenParallel(ExecContext* ctx,
       }));
 
   // Bind the member expressions once against the (shared) input schema so
-  // Next can evaluate group-key output expressions; then merge the partial
-  // states. Merging walks partitions in order and each partition's groups
-  // in local first-occurrence order, so the global group order equals the
-  // first-occurrence order of the serial input stream, and each group's
-  // representative row is the serially-first one.
+  // NextBatch can evaluate group-key output expressions; then merge the
+  // partial states. Merging walks partitions in order and each partition's
+  // groups in local first-occurrence order, so the global group order
+  // equals the first-occurrence order of the serial input stream, and each
+  // group's representative row is the serially-first one.
   input_schema_ = parts->front()->schema();
   for (auto& g : group_by_) {
     SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), input_schema_));
@@ -225,48 +225,54 @@ Status HashAggregateOperator::OpenParallel(ExecContext* ctx,
   return Status::OK();
 }
 
-Result<bool> HashAggregateOperator::Next(ExecContext* ctx, Row* out) {
+Result<bool> HashAggregateOperator::NextBatch(ExecContext* ctx,
+                                              RowBatch* out) {
   (void)ctx;
-  if (pos_ >= groups_.size()) return false;
-  const GroupState& group = groups_[pos_++];
   out->clear();
-  out->reserve(items_.size());
   // Group-key expressions are re-evaluated on the representative row, so
   // arbitrary scalar expressions of the group key work.
   Evaluator evaluator(&input_schema_, nullptr, nullptr, nullptr);
-  size_t agg_pos = 0;
-  for (const auto& item : items_) {
-    if (item.agg == AggFn::kNone) {
-      SIEVE_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*item.expr, group.first_row));
-      out->push_back(std::move(v));
-      continue;
+  Row row;
+  while (pos_ < groups_.size() && !out->full()) {
+    const GroupState& group = groups_[pos_++];
+    row.clear();
+    size_t agg_pos = 0;
+    for (const auto& item : items_) {
+      if (item.agg == AggFn::kNone) {
+        SIEVE_ASSIGN_OR_RETURN(Value v,
+                               evaluator.Eval(*item.expr, group.first_row));
+        row.push_back(std::move(v));
+        continue;
+      }
+      const AggState& agg = group.aggs[agg_pos++];
+      switch (item.agg) {
+        case AggFn::kCount:
+        case AggFn::kCountStar:
+          row.push_back(Value::Int(agg.count));
+          break;
+        case AggFn::kSum:
+          row.push_back(agg.count == 0 ? Value::Null()
+                                       : Value::Double(agg.sum));
+          break;
+        case AggFn::kAvg:
+          row.push_back(agg.count == 0
+                            ? Value::Null()
+                            : Value::Double(agg.sum /
+                                            static_cast<double>(agg.count)));
+          break;
+        case AggFn::kMin:
+          row.push_back(agg.saw_value ? agg.min : Value::Null());
+          break;
+        case AggFn::kMax:
+          row.push_back(agg.saw_value ? agg.max : Value::Null());
+          break;
+        case AggFn::kNone:
+          break;
+      }
     }
-    const AggState& agg = group.aggs[agg_pos++];
-    switch (item.agg) {
-      case AggFn::kCount:
-      case AggFn::kCountStar:
-        out->push_back(Value::Int(agg.count));
-        break;
-      case AggFn::kSum:
-        out->push_back(agg.count == 0 ? Value::Null() : Value::Double(agg.sum));
-        break;
-      case AggFn::kAvg:
-        out->push_back(agg.count == 0
-                           ? Value::Null()
-                           : Value::Double(agg.sum /
-                                           static_cast<double>(agg.count)));
-        break;
-      case AggFn::kMin:
-        out->push_back(agg.saw_value ? agg.min : Value::Null());
-        break;
-      case AggFn::kMax:
-        out->push_back(agg.saw_value ? agg.max : Value::Null());
-        break;
-      case AggFn::kNone:
-        break;
-    }
+    out->PushRow(std::move(row));
   }
-  return true;
+  return !out->empty();
 }
 
 std::string HashAggregateOperator::name() const {

@@ -96,9 +96,9 @@ class CteCache {
 /// `num_threads` partitions, and interior operators (UNION children, the
 /// hash-join probe side, hash-aggregate partials) fan out again from
 /// inside Open. Each unit of parallel work runs under its own worker
-/// ExecContext (own ExecStats, shared timer epoch, shared cancel flag,
-/// shared CTE cache); the workers' stats are merged back at the barrier,
-/// so the counters here are never mutated concurrently.
+/// ExecContext (own ExecStats and cancel flag, shared timer epoch and CTE
+/// cache); the workers' stats are merged back at the barrier, so the
+/// counters here are never mutated concurrently.
 struct ExecContext {
   Catalog* catalog = nullptr;
   EngineHooks* hooks = nullptr;
@@ -117,8 +117,8 @@ struct ExecContext {
   std::shared_ptr<CteCache> ctes;
 
   /// Rows per execution batch (Operator::NextBatch). The default is the
-  /// vectorized fast path; 1 reproduces the legacy row-at-a-time behavior
-  /// (same rows, order and ExecStats at every value — only the
+  /// vectorized fast path; 1 runs the same operators on capacity-1
+  /// batches (same rows, order and ExecStats at every value — only the
   /// amortization changes); 0 selects an adaptive per-operator size from
   /// the row width (see EffectiveBatchSize). Never negative.
   int batch_size = static_cast<int>(kDefaultBatchSize);
@@ -129,13 +129,20 @@ struct ExecContext {
   /// claim queue hands out dynamically (see Executor::Materialize).
   int num_threads = 1;
   ThreadPool* pool = nullptr;
-  /// Set when a sibling partition failed; checked cooperatively so the
-  /// surviving workers abandon their scans instead of running to the end.
+  /// Set when a lower-index sibling partition failed; checked
+  /// cooperatively so this worker abandons its scan instead of running to
+  /// the end. Each worker of a fan-out has its own flag (see RunWorkers).
   std::atomic<bool>* cancel = nullptr;
+  /// The context whose fan-out spawned this worker (nullptr at the query
+  /// root). CheckTimeout also honors every enclosing worker's cancel flag,
+  /// so cancelling a worker stops the nested fan-outs it started.
+  const ExecContext* parent = nullptr;
 
   Status CheckTimeout() const {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return Status::Timeout("query cancelled: a sibling partition failed");
+    for (const ExecContext* c = this; c != nullptr; c = c->parent) {
+      if (c->cancel != nullptr && c->cancel->load(std::memory_order_relaxed)) {
+        return Status::Timeout("query cancelled: a sibling partition failed");
+      }
     }
     // exec.stall slows the query down (1ms per check) so deadline tests can
     // force a timeout deterministically; exec.interrupt simulates an engine
@@ -154,10 +161,12 @@ struct ExecContext {
 
   /// A context for one parallel worker: shares the read-only engine state,
   /// the timeout epoch, the CTE cache and the thread pool, but gets its own
-  /// stat counters so accumulation is race-free. Keeping the pool lets
-  /// nested fan-out compose (a UNION child whose pipeline partitions, a CTE
-  /// body materialized from inside a worker); ThreadPool::ParallelFor's
-  /// help-running makes that reuse deadlock-free.
+  /// stat counters so accumulation is race-free, and its own cancel flag
+  /// chained to this context's. Keeping the pool lets nested fan-out
+  /// compose (a UNION child whose pipeline partitions, a CTE body
+  /// materialized from inside a worker); ThreadPool::ParallelFor's
+  /// help-running makes that reuse deadlock-free. The worker must not
+  /// outlive this context.
   ExecContext MakeWorkerContext(ExecStats* worker_stats,
                                 std::atomic<bool>* cancel_flag) const {
     ExecContext worker;
@@ -172,6 +181,7 @@ struct ExecContext {
     worker.num_threads = num_threads;
     worker.pool = pool;
     worker.cancel = cancel_flag;
+    worker.parent = this;
     return worker;
   }
 };

@@ -103,15 +103,15 @@ Status DrainPartitioned(const std::vector<OperatorPtr>& parts,
 Status RunWorkers(ExecContext* ctx, size_t n,
                   const std::function<Status(size_t, ExecContext*)>& body) {
   std::vector<ExecStats> worker_stats(n);
-  std::atomic<bool> local_cancel{false};
-  std::atomic<bool>* cancel =
-      ctx->cancel != nullptr ? ctx->cancel : &local_cancel;
+  // One flag per worker: a failure cancels only the workers after it, so
+  // no lower-index worker is stopped before it reaches its own error.
+  std::vector<std::atomic<bool>> cancel(n);
   std::mutex error_mu;
   Status first_error;
   size_t first_error_index = n;
 
   ctx->pool->ParallelFor(n, [&](size_t i) {
-    ExecContext worker = ctx->MakeWorkerContext(&worker_stats[i], cancel);
+    ExecContext worker = ctx->MakeWorkerContext(&worker_stats[i], &cancel[i]);
     Status st;
     if (SIEVE_FAULT_POINT("exec.morsel.fail")) {
       // Fails this morsel before it runs; flows through the same
@@ -135,11 +135,12 @@ Status RunWorkers(ExecContext* ctx, size_t n,
     }
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(error_mu);
-      // Report the real failure, not a cancellation artifact: once a
-      // sibling flips the cancel flag, surviving workers fail with
-      // Timeout at their next cooperative check, so a non-timeout error
-      // always outranks a timeout; within the same class the lowest
-      // partition index wins (deterministic, like a serial drain).
+      // Report the real failure, not a cancellation artifact: cancelled
+      // workers fail with Timeout at their next cooperative check, and a
+      // shared CTE slot can hand a cancelled producer's Timeout to a lower
+      // worker, so a non-timeout error always outranks a timeout; within
+      // the same class the lowest partition index wins (deterministic,
+      // like a serial drain).
       bool take;
       if (first_error.ok()) {
         take = true;
@@ -152,7 +153,9 @@ Status RunWorkers(ExecContext* ctx, size_t n,
         first_error = st;
         first_error_index = i;
       }
-      cancel->store(true, std::memory_order_relaxed);
+      for (size_t j = i + 1; j < n; ++j) {
+        cancel[j].store(true, std::memory_order_relaxed);
+      }
     }
   });
 

@@ -26,10 +26,12 @@ struct ResultSet {
 /// Fans `body` out as `n` workers on ctx->pool: body(i, worker) runs under
 /// a private worker context — own ExecStats (merged into ctx->stats at the
 /// barrier; partial work is counted even on failure), shared timeout
-/// epoch, CTE cache and pool, and a shared cancel flag (inherited from ctx
-/// when nested, created for this fan-out otherwise). On failure the cancel
-/// flag is flipped so sibling workers stop at their next cooperative
-/// check, and the lowest-index failure is returned. Requires ctx->pool;
+/// epoch, CTE cache and pool, and its own cancel flag. A failure in worker
+/// i cancels only workers i+1..n-1, so they stop at their next cooperative
+/// check while every lower worker still runs to its own outcome; a worker
+/// also stops when an enclosing fan-out cancels the worker that called
+/// this one. The lowest-index failure is returned, a real error
+/// outranking a cancellation Timeout. Requires ctx->pool;
 /// safe to call from inside a pool task (ParallelFor help-runs its batch).
 /// This is the one fan-out scaffold shared by pipeline partitioning and
 /// the interior operators (UNION children, hash-join probe, hash-aggregate

@@ -105,7 +105,7 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
 
   // Serial probe: open the probe side first (so its errors surface before
   // the build drain, as they always have), then build and stream left rows
-  // through Next.
+  // through NextBatch.
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
   SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
   schema_ = ConcatSchemas(left_->schema(), right_->schema());
@@ -228,33 +228,6 @@ Result<bool> HashJoinOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   return !out->empty();
 }
 
-Result<bool> HashJoinOperator::Next(ExecContext* ctx, Row* out) {
-  if (buffered_) {
-    if (out_pos_ >= joined_.size()) return false;
-    *out = std::move(joined_[out_pos_++]);
-    return true;
-  }
-  while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const Row& right_row = (*matches_)[match_pos_++];
-      *out = current_left_;
-      out->insert(out->end(), right_row.begin(), right_row.end());
-      return true;
-    }
-    SIEVE_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, &current_left_));
-    if (!has) return false;
-    std::vector<Value> key;
-    key.reserve(left_keys_.size());
-    for (const auto& k : left_keys_) {
-      SIEVE_ASSIGN_OR_RETURN(Value v, left_eval_->Eval(*k, current_left_));
-      key.push_back(std::move(v));
-    }
-    auto it = build_.find(key);
-    matches_ = it == build_.end() ? nullptr : &it->second;
-    match_pos_ = 0;
-  }
-}
-
 std::string HashJoinOperator::name() const {
   std::string keys;
   for (size_t i = 0; i < left_keys_.size(); ++i) {
@@ -297,35 +270,10 @@ Status NestedLoopJoinOperator::Open(ExecContext* ctx) {
   schema_ = ConcatSchemas(left_->schema(), result->schema);
   left_valid_ = false;
   right_pos_ = 0;
-  ticks_ = 0;
   left_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, left_->schema().num_columns()));
   left_pos_ = 0;
   return Status::OK();
-}
-
-Result<bool> NestedLoopJoinOperator::Next(ExecContext* ctx, Row* out) {
-  while (true) {
-    if (!left_valid_) {
-      SIEVE_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, &current_left_));
-      if (!has) return false;
-      left_valid_ = true;
-      right_pos_ = 0;
-    }
-    if (right_pos_ >= right_rows_->size()) {
-      left_valid_ = false;
-      continue;
-    }
-    if ((ticks_++ & 4095) == 0) {
-      SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    }
-    const Row& right_row = (*right_rows_)[right_pos_++];
-    out->clear();
-    out->reserve(current_left_.size() + right_row.size());
-    out->insert(out->end(), current_left_.begin(), current_left_.end());
-    out->insert(out->end(), right_row.begin(), right_row.end());
-    return true;
-  }
 }
 
 Result<bool> NestedLoopJoinOperator::NextBatch(ExecContext* ctx,

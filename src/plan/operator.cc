@@ -76,22 +76,9 @@ Status FilterOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(BindExpr(predicate_.get(), child_->schema()));
   evaluator_ = std::make_unique<Evaluator>(&child_->schema(), ctx->hooks,
                                            ctx->metadata, ctx->stats);
-  rows_seen_ = 0;
   child_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
   return Status::OK();
-}
-
-Result<bool> FilterOperator::Next(ExecContext* ctx, Row* out) {
-  while (true) {
-    if ((++rows_seen_ & 1023) == 0) {
-      SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    }
-    SIEVE_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, out));
-    if (!has) return false;
-    SIEVE_ASSIGN_OR_RETURN(bool pass, evaluator_->EvalPredicate(*predicate_, *out));
-    if (pass) return true;
-  }
 }
 
 Result<bool> FilterOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -158,63 +145,20 @@ Status ProjectOperator::Open(ExecContext* ctx) {
   child_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
 
-  // Move plan: when every item is a bound column ref, the consumed input
-  // row's cells can be stolen instead of copied — a column moves at its
-  // last referencing item, earlier duplicates copy.
-  move_source_.clear();
-  move_max_col_ = -1;
+  // Pure column projection: every item is a bound column ref, so output
+  // column j is just input column permute_[j]. Duplicated references
+  // share the batch's arrays, so nothing needs copying.
   permute_.clear();
-  std::vector<int> cols;
-  cols.reserve(items_.size());
+  permute_max_col_ = -1;
   for (const auto& item : items_) {
     if (item.expr->kind() != ExprKind::kColumnRef) break;
     int idx = static_cast<const ColumnRefExpr&>(*item.expr).bound_index();
     if (idx < 0) break;
-    cols.push_back(idx);
+    permute_.push_back(idx);
+    permute_max_col_ = std::max(permute_max_col_, idx);
   }
-  if (cols.size() == items_.size()) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      bool read_later = false;
-      for (size_t k = j + 1; k < cols.size(); ++k) {
-        if (cols[k] == cols[j]) read_later = true;
-      }
-      move_source_.push_back(read_later ? -(cols[j] + 1) : cols[j]);
-      move_max_col_ = std::max(move_max_col_, cols[j]);
-    }
-    // The batch path needs only the source column per item: duplicated
-    // column descriptors share the batch's arrays, so move-vs-copy is moot.
-    permute_.assign(cols.begin(), cols.end());
-  }
+  if (permute_.size() != items_.size()) permute_.clear();
   return Status::OK();
-}
-
-Status ProjectOperator::ProjectRow(Row* input, Row* out) {
-  out->clear();
-  out->reserve(items_.size());
-  if (!move_source_.empty() &&
-      static_cast<size_t>(move_max_col_) < input->size()) {
-    for (int src : move_source_) {
-      if (src >= 0) {
-        out->push_back(std::move((*input)[static_cast<size_t>(src)]));
-      } else {
-        out->push_back((*input)[static_cast<size_t>(-src - 1)]);
-      }
-    }
-    return Status::OK();
-  }
-  for (const auto& item : items_) {
-    SIEVE_ASSIGN_OR_RETURN(Value v, evaluator_->Eval(*item.expr, *input));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-Result<bool> ProjectOperator::Next(ExecContext* ctx, Row* out) {
-  Row input;
-  SIEVE_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, &input));
-  if (!has) return false;
-  SIEVE_RETURN_IF_ERROR(ProjectRow(&input, out));
-  return true;
 }
 
 Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -222,7 +166,7 @@ Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   SIEVE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
   if (!has) return false;
   if (!permute_.empty() &&
-      static_cast<size_t>(move_max_col_) < child_batch_.num_columns()) {
+      static_cast<size_t>(permute_max_col_) < child_batch_.num_columns()) {
     // Pure column projection: take the whole batch and shuffle column
     // descriptors — no cell is copied or even touched.
     out->SwapWith(&child_batch_);
@@ -231,7 +175,12 @@ Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   }
   for (size_t k = 0; k < child_batch_.size(); ++k) {
     child_batch_.MaterializeRow(k, &scratch_in_);
-    SIEVE_RETURN_IF_ERROR(ProjectRow(&scratch_in_, &scratch_out_));
+    scratch_out_.clear();
+    for (const auto& item : items_) {
+      SIEVE_ASSIGN_OR_RETURN(Value v,
+                             evaluator_->Eval(*item.expr, scratch_in_));
+      scratch_out_.push_back(std::move(v));
+    }
     out->PushRow(std::move(scratch_out_));
   }
   return true;
@@ -378,36 +327,6 @@ Status UnionOperator::OpenParallel(ExecContext* ctx) {
   }
   buffered_ = true;
   return Status::OK();
-}
-
-Result<bool> UnionOperator::Next(ExecContext* ctx, Row* out) {
-  if (buffered_) {
-    if (out_pos_ >= out_rows_.size()) return false;
-    *out = std::move(out_rows_[out_pos_++]);
-    return true;
-  }
-  while (current_ < children_.size()) {
-    SIEVE_ASSIGN_OR_RETURN(bool has, children_[current_]->Next(ctx, out));
-    if (!has) {
-      ++current_;
-      continue;
-    }
-    if (!all_) {
-      uint64_t h = RowHash64(*out);
-      auto& bucket = seen_[h];
-      bool duplicate = false;
-      for (const Row& prev : bucket) {
-        if (RowsEqual(prev, *out)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      bucket.push_back(*out);
-    }
-    return true;
-  }
-  return false;
 }
 
 Result<bool> UnionOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -567,22 +486,6 @@ Status ExceptOperator::OpenParallel(ExecContext* ctx,
   return Status::OK();
 }
 
-Result<bool> ExceptOperator::Next(ExecContext* ctx, Row* out) {
-  if (buffered_) {
-    if (out_pos_ >= out_rows_.size()) return false;
-    *out = std::move(out_rows_[out_pos_++]);
-    return true;
-  }
-  while (true) {
-    SIEVE_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, out));
-    if (!has) return false;
-    if (Contains(right_rows_, *out)) continue;
-    if (Contains(emitted_, *out)) continue;  // EXCEPT emits distinct rows
-    emitted_[RowHash64(*out)].push_back(*out);
-    return true;
-  }
-}
-
 Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->clear();
   if (buffered_) {
@@ -666,13 +569,6 @@ Status MaterializedScanOperator::Open(ExecContext* ctx) {
   schema_ = QualifySchema(result->schema, qualifier_);
   PartitionSlice(rows_->size(), part_, num_parts_, &pos_, &end_);
   return Status::OK();
-}
-
-Result<bool> MaterializedScanOperator::Next(ExecContext* ctx, Row* out) {
-  (void)ctx;
-  if (rows_ == nullptr || pos_ >= end_) return false;
-  *out = (*rows_)[pos_++];
-  return true;
 }
 
 Result<bool> MaterializedScanOperator::NextBatch(ExecContext* ctx,

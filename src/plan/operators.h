@@ -22,25 +22,23 @@ namespace sieve {
 class Operator;
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Physical operator. Open() prepares state; rows are pulled either one
-/// at a time (Next, the legacy Volcano interface) or — the default
-/// executor path — a batch at a time (NextBatch). Operators own their
-/// children.
+/// Physical operator. Open() prepares state; rows are then pulled a batch
+/// at a time through NextBatch, the only pull interface. Operators own
+/// their children.
 ///
 /// Batch contract: NextBatch clears *out, appends rows in stream order
 /// and returns false exactly when the stream is exhausted and nothing was
 /// appended. A true return with a partially filled (or, for expanding
 /// operators such as joins, occasionally over-filled) batch is valid —
-/// callers must keep pulling until false. The hot operators override
-/// NextBatch natively (whole-morsel scans, one predicate-tree walk per
-/// filter batch, batched join probes and aggregate updates); everything
-/// else inherits the row-at-a-time adapter below, so the two interfaces
-/// always produce identical rows, row order and ExecStats. Timeout/cancel
-/// checks are per batch, not per row; a batch capacity of 1 therefore
-/// reproduces the legacy row-at-a-time behavior exactly.
+/// callers must keep pulling until false. Every operator implements it
+/// natively (whole-morsel scans, one predicate-tree walk per filter
+/// batch, batched join probes, buffered outputs served as views).
+/// Timeout/cancel checks are per batch, not per row. Rows, row order and
+/// ExecStats are identical at every batch capacity; a capacity of 1 runs
+/// the same loops one row per batch.
 ///
 /// Threading contract (applies to every subclass unless it says otherwise):
-/// Open, Next and NextBatch are driven by a single thread per operator
+/// Open and NextBatch are driven by a single thread per operator
 /// instance. Parallelism enters in two ways, both preserving exact serial
 /// rows, row order and ExecStats totals:
 ///   1. CreatePartitions (below) hands out clones that concurrent workers
@@ -57,23 +55,9 @@ class Operator {
   /// Prepares the operator for a full drain; binds expressions, opens
   /// children, and (for blocking operators) may consume the whole input.
   virtual Status Open(ExecContext* ctx) = 0;
-  /// Produces the next row into *out; returns false at end of stream.
-  virtual Result<bool> Next(ExecContext* ctx, Row* out) = 0;
   /// Clears *out and appends up to out->capacity() rows (see the batch
-  /// contract in the class comment). The default adapter drives Next row
-  /// by row; hot operators override it with native batch loops.
-  virtual Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) {
-    out->clear();
-    Row scratch;
-    while (!out->full()) {
-      SIEVE_ASSIGN_OR_RETURN(bool has, Next(ctx, &scratch));
-      if (!has) break;
-      // Steal the row's cells: the adapter owns `scratch`, which dies (is
-      // overwritten) before the batch does.
-      out->PushRow(std::move(scratch));
-    }
-    return !out->empty();
-  }
+  /// contract in the class comment).
+  virtual Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) = 0;
   /// Output schema; valid after Open (leaf scans over base tables also
   /// know it at construction).
   virtual const Schema& schema() const = 0;
@@ -155,9 +139,8 @@ class SeqScanOperator : public Operator {
   SeqScanOperator(const TableEntry* entry, std::string qualifier);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: emits a whole morsel of live rows per call (one
-  /// timeout check, one stats update).
+  /// Emits a whole batch of live rows per call (one timeout check, one
+  /// stats update).
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -176,7 +159,6 @@ class SeqScanOperator : public Operator {
   RowId end_slot_ = -1;  // -1: the full table (resolved at Open)
   RowId next_id_ = 0;
   RowId scan_end_ = 0;
-  uint64_t ticks_ = 0;  // timeout-check cadence, local to this partition
 };
 
 /// One contiguous key range probed on one index.
@@ -196,8 +178,7 @@ struct IndexRange {
 class RowIdListScanOperator : public Operator {
  public:
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: fetches a whole morsel of row ids per call.
+  /// Fetches a whole batch of row ids per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   /// Upper bound: the probe has not run yet, so report the table's slots.
@@ -221,10 +202,9 @@ class RowIdListScanOperator : public Operator {
   size_t part_ = 0;
   size_t num_parts_ = 1;
   std::vector<RowId> row_ids_;               // used when not partitioned
-  const std::vector<RowId>* ids_ = nullptr;  // row-id source for Next
+  const std::vector<RowId>* ids_ = nullptr;  // row-id source for NextBatch
   size_t pos_ = 0;
   size_t end_ = 0;
-  uint64_t ticks_ = 0;
 };
 
 /// Index range scan over a single range — the access path behind a guard's
@@ -296,8 +276,7 @@ class MaterializedScanOperator : public Operator {
                            OperatorPtr child);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: copies a whole slice of the materialized rows.
+  /// Serves a batch of views into the materialized rows.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -340,7 +319,7 @@ class MaterializedScanOperator : public Operator {
 /// with a private deep clone of the predicate (binding mutates expression
 /// nodes, so partitions must not share them).
 ///
-/// The batch path is where policy checks batch across tuples: one
+/// This is where policy checks batch across tuples: one
 /// Evaluator::EvalPredicateBatch call walks the guard/Δ predicate tree
 /// once and drives column-wise inner loops over the whole child batch,
 /// instead of re-interpreting the tree per row.
@@ -349,7 +328,6 @@ class FilterOperator : public Operator {
   FilterOperator(OperatorPtr child, ExprPtr predicate);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override;
@@ -363,24 +341,21 @@ class FilterOperator : public Operator {
   OperatorPtr child_;
   ExprPtr predicate_;
   std::unique_ptr<Evaluator> evaluator_;
-  uint64_t rows_seen_ = 0;
-  RowBatch child_batch_;        // batch path: reused input buffer
-  std::vector<uint8_t> pass_;   // batch path: per-row predicate verdicts
+  RowBatch child_batch_;        // reused input buffer
+  std::vector<uint8_t> pass_;   // per-row predicate verdicts
 };
 
 /// Projection of scalar expressions (no aggregates). Partitionable when its
 /// child is (expressions are deep-cloned per partition, like FilterOperator).
 ///
-/// Pure column projections (every item a bound column ref) move values out
-/// of the consumed input row instead of copying — a column's last
-/// referencing item steals the cell, so wide string columns are never
-/// duplicated on the scan→project hot path.
+/// Pure column projections (every item a bound column ref) take the child
+/// batch whole and permute its column descriptors, so no cell is copied —
+/// wide string columns are never duplicated on the scan→project hot path.
 class ProjectOperator : public Operator {
  public:
   ProjectOperator(OperatorPtr child, std::vector<SelectItem> items);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -391,25 +366,18 @@ class ProjectOperator : public Operator {
   }
 
  private:
-  /// Builds one output row from `input` (moving cells when allowed).
-  Status ProjectRow(Row* input, Row* out);
-
   OperatorPtr child_;
   std::vector<SelectItem> items_;
   Schema schema_;
   std::unique_ptr<Evaluator> evaluator_;
-  /// move_source_[j] >= 0: item j is a bound column ref whose cell may be
-  /// moved out of the input row (no later item reads the same column);
-  /// -(col + 1): copy of column `col` (an earlier duplicate reference).
-  /// Non-empty only when every item is a bound column ref.
-  std::vector<int> move_source_;
-  int move_max_col_ = -1;  // largest column index the move path touches
-  /// Column permutation for the pure-column batch path (move_source_ with
-  /// the copy encoding flattened): output column j reads input permute_[j].
+  /// Column permutation for pure column projections: output column j reads
+  /// input column permute_[j]. Non-empty only when every item is a bound
+  /// column ref.
   std::vector<int> permute_;
-  RowBatch child_batch_;  // batch path: reused input buffer
-  Row scratch_in_;        // batch fallback: materialized input row
-  Row scratch_out_;       // batch fallback: projected row before PushRow
+  int permute_max_col_ = -1;  // largest input column permute_ reads
+  RowBatch child_batch_;  // reused input buffer
+  Row scratch_in_;        // expression path: materialized input row
+  Row scratch_out_;       // expression path: projected row before PushRow
 };
 
 /// Hash join on equi-key expressions (build = right side). This is the
@@ -433,10 +401,8 @@ class HashJoinOperator : public Operator {
                    std::vector<ExprPtr> right_keys);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: probes a whole input batch per key-expression
-  /// bind, emitting joined rows batch-at-a-time (buffered slices in
-  /// parallel-probe mode).
+  /// Probes a whole input batch per key-expression bind, emitting joined
+  /// rows batch-at-a-time (buffered slices in parallel-probe mode).
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -469,7 +435,7 @@ class HashJoinOperator : public Operator {
   size_t match_pos_ = 0;
   std::unique_ptr<Evaluator> left_eval_;
   std::unique_ptr<Evaluator> right_eval_;
-  RowBatch probe_batch_;   // batch path: reused probe-side input buffer
+  RowBatch probe_batch_;   // serial probe: reused probe-side input buffer
   size_t probe_pos_ = 0;   // next unconsumed row of probe_batch_
   // Parallel-probe mode: the joined output, buffered at Open.
   bool buffered_ = false;
@@ -480,21 +446,18 @@ class HashJoinOperator : public Operator {
 /// Nested-loop cross join (right side materialized). Residual predicates are
 /// applied by a FilterOperator above.
 ///
-/// Batch path and partitioning: NextBatch crosses a whole outer batch
-/// against the materialized right side natively, and CreatePartitions
-/// splits the outer (left) side whenever the outer pipeline can partition
-/// — clone i crosses outer partition i against the full right side, which
-/// materializes exactly once across all clones (call_once), so
-/// concatenating the clones in order reproduces the serial cross-product
-/// order and every ExecStats counter.
+/// Partitioning: CreatePartitions splits the outer (left) side whenever
+/// the outer pipeline can partition — clone i crosses outer partition i
+/// against the full right side, which materializes exactly once across
+/// all clones (call_once), so concatenating the clones in order
+/// reproduces the serial cross-product order and every ExecStats counter.
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(OperatorPtr left, OperatorPtr right);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: crosses outer rows against the right side a whole
-  /// output batch at a time.
+  /// Crosses outer rows against the right side a whole output batch at a
+  /// time.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -524,8 +487,7 @@ class NestedLoopJoinOperator : public Operator {
   Row current_left_;
   bool left_valid_ = false;
   size_t right_pos_ = 0;
-  uint64_t ticks_ = 0;       // row-path timeout cadence
-  RowBatch left_batch_;      // batch path: reused outer-side input buffer
+  RowBatch left_batch_;      // reused outer-side input buffer
   size_t left_pos_ = 0;      // next unconsumed row of left_batch_
 };
 
@@ -548,7 +510,9 @@ class HashAggregateOperator : public Operator {
                         std::vector<SelectItem> items);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
+  /// Serves the accumulated groups, one output row per group, until the
+  /// batch is full.
+  Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
 
@@ -652,8 +616,7 @@ class UnionOperator : public Operator {
   UnionOperator(std::vector<OperatorPtr> children, bool all);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: dedups a whole child batch per call.
+  /// Dedups a whole child batch per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -665,7 +628,7 @@ class UnionOperator : public Operator {
   std::vector<OperatorPtr> children_;
   bool all_;
   Schema schema_;
-  RowBatch child_batch_;  // serial batch path: reused input buffer
+  RowBatch child_batch_;  // serial path: reused input buffer
   size_t current_ = 0;
   // Hash-bucketed exact dedup for the serial path: candidate rows compare
   // against the rows already emitted under the same hash.
@@ -695,8 +658,7 @@ class ExceptOperator : public Operator {
   ExceptOperator(OperatorPtr left, OperatorPtr right);
 
   Status Open(ExecContext* ctx) override;
-  Result<bool> Next(ExecContext* ctx, Row* out) override;
-  /// Native batch path: probes a whole minuend batch per call.
+  /// Probes a whole minuend batch per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "Except"; }
@@ -715,7 +677,7 @@ class ExceptOperator : public Operator {
   Schema schema_;
   std::unordered_map<uint64_t, std::vector<Row>> right_rows_;
   std::unordered_map<uint64_t, std::vector<Row>> emitted_;
-  RowBatch left_batch_;  // serial batch path: reused input buffer
+  RowBatch left_batch_;  // serial path: reused input buffer
   // Parallel-interior mode: the surviving rows, buffered at Open.
   bool buffered_ = false;
   std::vector<Row> out_rows_;

@@ -14,9 +14,9 @@
 namespace sieve {
 
 /// Default rows per batch for batch-at-a-time execution. Exposed as the
-/// `SieveOptions::batch_size` knob; 1 reproduces the legacy row-at-a-time
-/// behavior (every NextBatch call degenerates to one Next call), 0 selects
-/// an adaptive size (see EffectiveBatchSize).
+/// `SieveOptions::batch_size` knob; 1 runs the same operators on
+/// capacity-1 batches, 0 selects an adaptive size (see
+/// EffectiveBatchSize).
 inline constexpr size_t kDefaultBatchSize = 1024;
 
 /// Rows per batch for a configured batch_size knob: positive values pass
@@ -63,7 +63,8 @@ inline size_t EffectiveBatchSize(int configured, size_t num_columns) {
 ///   - PushRow steals the row's string cells into a per-batch pool (a
 ///     deque of Values, address-stable, slots recycled across refills), so
 ///     the batch owns what it references. Used whenever the source row
-///     dies before the batch does (join outputs, adapter-pulled rows).
+///     dies before the batch does (join outputs, projected expressions,
+///     aggregate groups).
 ///
 /// clear() rewinds the arena and the pool without releasing memory, so a
 /// scan that refills the same batch reuses every allocation. Batches are

@@ -55,23 +55,7 @@ Status SeqScanOperator::Open(ExecContext* ctx) {
   next_id_ = begin_slot_;
   scan_end_ = end_slot_ >= 0 ? end_slot_
                              : static_cast<RowId>(entry_->table->num_slots());
-  ticks_ = 0;
   return Status::OK();
-}
-
-Result<bool> SeqScanOperator::Next(ExecContext* ctx, Row* out) {
-  const Table& table = *entry_->table;
-  while (next_id_ < scan_end_) {
-    if ((ticks_++ & 4095) == 0) {
-      SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    }
-    RowId id = next_id_++;
-    if (!table.IsLive(id)) continue;
-    *out = table.Get(id);
-    if (ctx->stats != nullptr) ++ctx->stats->tuples_scanned;
-    return true;
-  }
-  return false;
 }
 
 Result<bool> SeqScanOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -130,7 +114,6 @@ RowIdListScanOperator::RowIdListScanOperator(
 
 Status RowIdListScanOperator::Open(ExecContext* ctx) {
   (void)ctx;
-  ticks_ = 0;
   if (shared_ != nullptr) {
     // Partition clone: the first opener runs the probe, everyone slices it.
     std::call_once(shared_->once, [this] {
@@ -151,21 +134,6 @@ Status RowIdListScanOperator::Open(ExecContext* ctx) {
   pos_ = 0;
   end_ = row_ids_.size();
   return Status::OK();
-}
-
-Result<bool> RowIdListScanOperator::Next(ExecContext* ctx, Row* out) {
-  const Table& table = *entry_->table;
-  while (pos_ < end_) {
-    if ((ticks_++ & 4095) == 0) {
-      SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    }
-    RowId id = (*ids_)[pos_++];
-    if (!table.IsLive(id)) continue;
-    *out = table.Get(id);
-    if (ctx->stats != nullptr) ++ctx->stats->index_probe_rows;
-    return true;
-  }
-  return false;
 }
 
 Result<bool> RowIdListScanOperator::NextBatch(ExecContext* ctx,

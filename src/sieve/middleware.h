@@ -40,8 +40,8 @@ struct SieveOptions {
   int num_threads = 1;
   /// Rows per execution batch of the vectorized executor: scans emit
   /// whole morsels, guard/Δ predicates run as column kernels once per
-  /// batch, timeout checks amortize across the batch. 1 reproduces the
-  /// legacy row-at-a-time execution; 0 picks an adaptive per-operator
+  /// batch, timeout checks amortize across the batch. 1 runs capacity-1
+  /// batches through the same operators; 0 picks an adaptive per-operator
   /// size from the row width (EffectiveBatchSize). Every value returns
   /// identical rows, order and ExecStats. Must be >= 0 (validated by
   /// set_options).

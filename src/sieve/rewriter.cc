@@ -367,6 +367,33 @@ void CollectSubqueryTables(const SelectStmt& stmt,
   }
 }
 
+// Fails with kAccessDenied when a CTE body written in the statement (in
+// any UNION arm or derived table, nested CTEs included) reads a protected
+// table: ReplaceTableRefs rewrites FROM lists only, so such a body would
+// read the table unrestricted.
+Status CheckCteBodies(const SelectStmt& stmt, const PolicyStore& policies) {
+  for (const SelectStmt* arm = &stmt; arm != nullptr;
+       arm = arm->union_next.get()) {
+    for (const auto& cte : arm->ctes) {
+      std::vector<std::string> tables;
+      CollectTables(*cte.query, &tables);
+      for (const std::string& table : tables) {
+        if (policies.PolicyCountForTable(table) > 0) {
+          return Status::AccessDenied(
+              "WITH " + cte.name + " reads protected table " + table +
+              "; use a derived table (FROM (SELECT ...) AS alias) instead");
+        }
+      }
+    }
+    for (const auto& ref : arm->from) {
+      if (ref.subquery != nullptr) {
+        SIEVE_RETURN_IF_ERROR(CheckCteBodies(*ref.subquery, policies));
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<std::string> CollectReferencedTables(const SelectStmt& stmt) {
@@ -397,6 +424,7 @@ Result<RewriteResult> QueryRewriter::Rewrite(const SelectStmt& query,
                                   "; use a join or a derived table instead");
     }
   }
+  SIEVE_RETURN_IF_ERROR(CheckCteBodies(query, *policies_));
 
   RewriteResult result;
   result.stmt = query.Clone();

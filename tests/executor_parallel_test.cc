@@ -4,7 +4,8 @@
 // interior-operator parallelism (UNION children, hash-join probe,
 // hash-aggregate partials, the EXCEPT minuend probe) with its edge cases,
 // RowBatch/NextBatch semantics (batch boundaries at partition edges,
-// empty morsels, batch_size = 1 degeneracy, mid-batch timeouts),
+// empty morsels, capacity-1 batches, mid-batch timeouts,
+// lowest-index error selection under nested fan-out),
 // race-free ExecStats merging, and cooperative timeout cancellation while
 // a parallel scan is in flight.
 
@@ -173,50 +174,62 @@ std::unique_ptr<Database> MakeTable(int num_rows,
   return db;
 }
 
+// Opens `op` and drains it through NextBatch at ctx->batch_size rows per
+// batch, fingerprinting every row in stream order.
 std::vector<std::string> DrainToStrings(Operator* op, ExecContext* ctx) {
   std::vector<std::string> out;
   Status open = op->Open(ctx);
   EXPECT_TRUE(open.ok()) << open.ToString();
+  RowBatch batch(static_cast<size_t>(ctx->batch_size));
   Row row;
   while (true) {
-    auto has = op->Next(ctx, &row);
+    auto has = op->NextBatch(ctx, &batch);
     EXPECT_TRUE(has.ok()) << has.status().ToString();
     if (!has.ok() || !*has) break;
-    out.push_back(RowFingerprint(row));
+    EXPECT_FALSE(batch.empty()) << "a true NextBatch must carry rows";
+    for (size_t k = 0; k < batch.size(); ++k) {
+      batch.MaterializeRow(k, &row);
+      out.push_back(RowFingerprint(row));
+    }
   }
   return out;
 }
 
 // Drains the serial operator and `num_parts` partition clones of
-// `partitioned`, asserting the concatenated partitions reproduce the
-// serial stream exactly (same rows, same order) and that per-partition
-// stats sum to the serial stats.
+// `partitioned` at batch capacities 1, 3 and 1024, asserting the
+// concatenated partitions reproduce the serial stream exactly (same rows,
+// same order) and that per-partition stats sum to the serial stats.
 void ExpectPartitionsMatchSerial(Operator* serial, Operator* partitioned,
                                  size_t num_parts, Catalog* catalog) {
-  ExecStats serial_stats;
-  ExecContext serial_ctx;
-  serial_ctx.catalog = catalog;
-  serial_ctx.stats = &serial_stats;
-  std::vector<std::string> expected = DrainToStrings(serial, &serial_ctx);
+  for (int capacity : {1, 3, 1024}) {
+    ExecStats serial_stats;
+    ExecContext serial_ctx;
+    serial_ctx.catalog = catalog;
+    serial_ctx.stats = &serial_stats;
+    serial_ctx.batch_size = capacity;
+    std::vector<std::string> expected = DrainToStrings(serial, &serial_ctx);
 
-  std::vector<OperatorPtr> parts;
-  ASSERT_TRUE(partitioned->CreatePartitions(num_parts, &parts));
-  ASSERT_EQ(parts.size(), num_parts);
-  ExecStats merged_stats;
-  std::vector<std::string> merged;
-  for (auto& part : parts) {
-    ExecStats part_stats;
-    ExecContext part_ctx;
-    part_ctx.catalog = catalog;
-    part_ctx.stats = &part_stats;
-    for (auto& fp : DrainToStrings(part.get(), &part_ctx)) {
-      merged.push_back(std::move(fp));
+    std::vector<OperatorPtr> parts;
+    ASSERT_TRUE(partitioned->CreatePartitions(num_parts, &parts));
+    ASSERT_EQ(parts.size(), num_parts);
+    ExecStats merged_stats;
+    std::vector<std::string> merged;
+    for (auto& part : parts) {
+      ExecStats part_stats;
+      ExecContext part_ctx;
+      part_ctx.catalog = catalog;
+      part_ctx.stats = &part_stats;
+      part_ctx.batch_size = capacity;
+      for (auto& fp : DrainToStrings(part.get(), &part_ctx)) {
+        merged.push_back(std::move(fp));
+      }
+      merged_stats.Add(part_stats);
     }
-    merged_stats.Add(part_stats);
+    EXPECT_EQ(merged, expected) << "capacity=" << capacity;
+    EXPECT_EQ(merged_stats, serial_stats)
+        << "capacity=" << capacity << " merged=" << merged_stats.ToString()
+        << " serial=" << serial_stats.ToString();
   }
-  EXPECT_EQ(merged, expected);
-  EXPECT_EQ(merged_stats, serial_stats) << "merged=" << merged_stats.ToString()
-                                        << " serial=" << serial_stats.ToString();
 }
 
 TEST(PartitionBoundaryTest, SeqScanEmptyTable) {
@@ -665,8 +678,8 @@ TEST(PlanPartitionCountTest, SizesMorselsByInputRows) {
   EXPECT_EQ(PlanPartitionCount(unknown, ctx), 4u);
 }
 
-// Compares ExecuteSql at (threads, batch) against the serial
-// row-at-a-time reference (threads = 1, batch = 1): rows, order, stats.
+// Compares ExecuteSql at (threads, batch) against the serial reference
+// at batch capacity 1 (threads = 1, batch = 1): rows, order, stats.
 void ExpectModeMatchesReference(Database* db, const std::string& sql,
                                 int threads, int batch) {
   auto reference = db->ExecuteSql(sql, nullptr, 0.0, 1, 1);
@@ -719,7 +732,7 @@ TEST(BatchExecutionTest, EmptyMorselsFromSparsePartitions) {
                              1024);
 }
 
-TEST(BatchExecutionTest, BatchSizeOneReproducesLegacyRowAtATime) {
+TEST(BatchExecutionTest, CapacityOneBatchesMatchLargerBatches) {
   auto db = MakeTable(3000, {5, 2999});
   const char* queries[] = {
       "SELECT * FROM t WHERE val IN (1, 4)",
@@ -728,8 +741,8 @@ TEST(BatchExecutionTest, BatchSizeOneReproducesLegacyRowAtATime) {
       "SELECT * FROM t WHERE val < 3 EXCEPT SELECT * FROM t WHERE id < 50",
   };
   for (const char* sql : queries) {
-    // batch_size 1 must agree with the default batched path at every
-    // thread count (both against the row-at-a-time reference).
+    // Capacity-1 batches must agree with the default batch size at every
+    // thread count (all against the serial batch-1 reference).
     ExpectModeMatchesReference(db.get(), sql, 1, 1024);
     ExpectModeMatchesReference(db.get(), sql, 4, 1);
     ExpectModeMatchesReference(db.get(), sql, 4, 1024);
@@ -782,6 +795,36 @@ TEST(BatchExecutionTest, ThrowingMorselFailsQueryDeterministically) {
   }
 }
 
+TEST(BatchExecutionTest, NestedFanOutReportsFirstArmError) {
+  // The UNION arms run as workers of one fan-out, and each arm's scan
+  // partitions again inside its worker. Both arms throw, with distinct
+  // messages. Arm 1's failure must not cancel arm 0 before arm 0 reaches
+  // its own error, so arm 0's error wins every run.
+  auto db = MakeTable(6000);
+  for (std::string name : {"boom0", "boom1"}) {
+    const std::string message = name + " exploded";
+    ASSERT_TRUE(db->udfs()
+                    .Register(name,
+                              [message](const std::vector<Value>&,
+                                        UdfContext&) -> Result<Value> {
+                                throw std::runtime_error(message);
+                              })
+                    .ok());
+  }
+  const char* sql =
+      "SELECT * FROM t WHERE boom0() = true UNION "
+      "SELECT * FROM t WHERE boom1() = true";
+  for (int threads : {2, 8}) {
+    auto result = db->ExecuteSql(sql, nullptr, 0.0, threads);
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kExecutionError)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("boom0 exploded"),
+              std::string::npos)
+        << "threads=" << threads << ": " << result.status().ToString();
+  }
+}
+
 TEST(InteriorOperatorTest, ExceptParallelProbeMatchesSerial) {
   // Large enough (> one morsel of rows) that the minuend really
   // partitions; duplicate-heavy projection so the distinct merge works.
@@ -801,15 +844,20 @@ TEST(InteriorOperatorTest, ExceptParallelProbeMatchesSerial) {
       "SELECT * FROM t WHERE val = 1 EXCEPT SELECT * FROM t WHERE id < 0");
 }
 
-TEST(BatchExecutionTest, AdapterCoversRowOnlyOperators) {
-  // HashAggregate serves its buffered groups through the default
-  // row-only NextBatch adapter, which must splice it into a batched
-  // pipeline transparently.
+TEST(BatchExecutionTest, AggregateOutputSpansManyBatches) {
+  // One group per live id: HashAggregate's NextBatch must serve far more
+  // groups than one batch holds, resuming exactly where the last batch
+  // stopped, serially and after the parallel partial-aggregate merge.
   auto db = MakeTable(3000, {5, 2999});
-  ExpectModeMatchesReference(
-      db.get(), "SELECT val, COUNT(*) AS n FROM t GROUP BY val", 1, 1024);
-  ExpectModeMatchesReference(
-      db.get(), "SELECT val, COUNT(*) AS n FROM t GROUP BY val", 4, 64);
+  const char* sql = "SELECT id, COUNT(*) AS n FROM t GROUP BY id";
+  auto reference = db->ExecuteSql(sql, nullptr, 0.0, 1, 1);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->rows.size(), 2998u);
+  for (const Row& row : reference->rows) EXPECT_EQ(row[1].AsInt(), 1);
+  ExpectModeMatchesReference(db.get(), sql, 1, 3);
+  ExpectModeMatchesReference(db.get(), sql, 1, 1024);
+  ExpectModeMatchesReference(db.get(), sql, 4, 64);
+  ExpectModeMatchesReference(db.get(), sql, 4, 1024);
 }
 
 TEST(BatchExecutionTest, NestedLoopJoinNativeBatchPath) {

@@ -168,66 +168,7 @@ TEST(ExprUtilTest, ToSqlRoundTrips) {
   }
 }
 
-// Differential contract of the vectorized predicate path: for any batch
-// of rows (NULL-riddled included), EvalPredicateBatch must produce the
-// exact per-row verdicts of EvalPredicate AND the exact ExecStats
-// comparison counts — the active-set narrowing of AND/OR has to mirror
-// row-at-a-time short-circuiting (node, row) pair for pair.
-TEST(EvalPredicateBatchTest, MatchesRowAtATimeVerdictsAndStats) {
-  Schema schema({{"a", DataType::kInt},
-                 {"b", DataType::kInt},
-                 {"s", DataType::kString}});
-  std::vector<Row> rows;
-  for (int i = 0; i < 57; ++i) {
-    Row row;
-    row.push_back(i % 11 == 0 ? Value::Null() : Value::Int(i % 7));
-    row.push_back(i % 13 == 0 ? Value::Null() : Value::Int(i % 5));
-    row.push_back(Value::String("x" + std::to_string(i % 4)));
-    rows.push_back(std::move(row));
-  }
-
-  const char* predicates[] = {
-      "a = 3",
-      "a < b",
-      "a = 3 AND b = 2",
-      "a = 3 OR b = 2 OR a = 5",
-      "NOT (a = 3)",
-      "a BETWEEN 2 AND 5",
-      "a IN (1, 2, 3)",
-      "a IN (1, 2, 3) AND NOT (b = 0 OR s = 'x2')",
-      "s = 'x3'",
-      "a = 1 OR (b = 2 AND s = 'x1') OR a BETWEEN 5 AND 6",
-  };
-  for (const char* text : predicates) {
-    auto expr = Parser::ParseExpression(text);
-    ASSERT_TRUE(expr.ok()) << text;
-    ASSERT_TRUE(BindExpr(expr->get(), schema).ok()) << text;
-
-    ExecStats row_stats;
-    Evaluator row_eval(&schema, nullptr, nullptr, &row_stats);
-    std::vector<uint8_t> expected;
-    for (const Row& row : rows) {
-      auto verdict = row_eval.EvalPredicate(**expr, row);
-      ASSERT_TRUE(verdict.ok()) << text;
-      expected.push_back(*verdict ? 1 : 0);
-    }
-
-    ExecStats batch_stats;
-    Evaluator batch_eval(&schema, nullptr, nullptr, &batch_stats);
-    std::vector<uint8_t> got;
-    ASSERT_TRUE(batch_eval
-                    .EvalPredicateBatch(**expr, rows.data(), rows.size(), &got)
-                    .ok())
-        << text;
-
-    EXPECT_EQ(got, expected) << text;
-    EXPECT_EQ(batch_stats, row_stats)
-        << text << " row=" << row_stats.ToString()
-        << " batch=" << batch_stats.ToString();
-  }
-}
-
-// Evaluates `text` over `rows` through the columnar RowBatch overload and
+// Evaluates `text` over `rows` through EvalPredicateBatch on a RowBatch and
 // asserts verdicts + ExecStats match per-row EvalPredicate exactly.
 void ExpectColumnarMatchesRows(const Schema& schema,
                                const std::vector<Row>& rows,
@@ -259,6 +200,41 @@ void ExpectColumnarMatchesRows(const Schema& schema,
   EXPECT_EQ(batch_stats, row_stats)
       << text << " row=" << row_stats.ToString()
       << " batch=" << batch_stats.ToString();
+}
+
+// Differential contract of the vectorized predicate path: for any batch
+// of rows (NULL-riddled included), EvalPredicateBatch must produce the
+// exact per-row verdicts of EvalPredicate AND the exact ExecStats
+// comparison counts — the active-set narrowing of AND/OR has to mirror
+// row-at-a-time short-circuiting (node, row) pair for pair.
+TEST(EvalPredicateBatchTest, MatchesRowAtATimeVerdictsAndStats) {
+  Schema schema({{"a", DataType::kInt},
+                 {"b", DataType::kInt},
+                 {"s", DataType::kString}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 57; ++i) {
+    Row row;
+    row.push_back(i % 11 == 0 ? Value::Null() : Value::Int(i % 7));
+    row.push_back(i % 13 == 0 ? Value::Null() : Value::Int(i % 5));
+    row.push_back(Value::String("x" + std::to_string(i % 4)));
+    rows.push_back(std::move(row));
+  }
+
+  const char* predicates[] = {
+      "a = 3",
+      "a < b",
+      "a = 3 AND b = 2",
+      "a = 3 OR b = 2 OR a = 5",
+      "NOT (a = 3)",
+      "a BETWEEN 2 AND 5",
+      "a IN (1, 2, 3)",
+      "a IN (1, 2, 3) AND NOT (b = 0 OR s = 'x2')",
+      "s = 'x3'",
+      "a = 1 OR (b = 2 AND s = 'x1') OR a BETWEEN 5 AND 6",
+  };
+  for (const char* text : predicates) {
+    ExpectColumnarMatchesRows(schema, rows, text);
+  }
 }
 
 // The typed comparison kernels (int/double/string/time columns, constants

@@ -1,7 +1,7 @@
 // Unit tests for the session-oriented middleware API: SieveSession /
 // PreparedQuery / ResultCursor, parameter binding edge cases, the
 // pull-validated rewrite cache (which mutations stale which snapshots),
-// LRU eviction, scalar-subquery enforcement and the validated
+// LRU eviction, scalar-subquery and CTE-body enforcement and the validated
 // SieveOptions update path.
 
 #include "sieve/session.h"
@@ -644,6 +644,53 @@ TEST_F(SessionTest, ScalarSubqueryOverProtectedTableIsDenied) {
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(Fingerprints(*allowed), Fingerprints(*oracle));
   EXPECT_GT(allowed->size(), 0u);
+}
+
+TEST_F(SessionTest, CteBodyOverProtectedTableIsDenied) {
+  // Regression: CTE bodies written in the query were not rewritten, so
+  // they read the protected wifi table unrestricted — all 600 rows, or
+  // owner 5's 60 rows, instead of alice's 90.
+  auto direct = sieve_.Execute("SELECT * FROM wifi", md_);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->size(), 90u);
+
+  SieveSession session(&sieve_, md_);
+  for (const char* sql : {
+           "WITH x AS (SELECT * FROM wifi) SELECT * FROM x",
+           "WITH x AS (SELECT * FROM wifi WHERE owner = 5) SELECT * FROM x",
+           // Read from a later UNION arm only.
+           "WITH x AS (SELECT * FROM wifi WHERE owner = 5) "
+           "SELECT a.ap FROM aps AS a UNION SELECT x.wifiAP FROM x",
+           // Inside a derived table, a nested CTE, and a CTE body's own
+           // derived table.
+           "SELECT * FROM (WITH x AS (SELECT * FROM wifi WHERE owner = 5) "
+           "SELECT * FROM x) AS d",
+           "WITH y AS (WITH x AS (SELECT * FROM wifi) SELECT * FROM x) "
+           "SELECT * FROM y",
+           "WITH x AS (SELECT * FROM (SELECT * FROM wifi) AS d) "
+           "SELECT * FROM x",
+       }) {
+    auto prepared = session.Prepare(sql);
+    ASSERT_FALSE(prepared.ok()) << sql;
+    EXPECT_EQ(prepared.status().code(), StatusCode::kAccessDenied) << sql;
+    auto one_shot = sieve_.Execute(sql, md_);
+    ASSERT_FALSE(one_shot.ok()) << sql;
+    EXPECT_EQ(one_shot.status().code(), StatusCode::kAccessDenied) << sql;
+  }
+  EXPECT_EQ(sieve_.rewrite_cache().size(), 1u) << "only the direct query";
+
+  // A CTE over the unprotected aps table stays allowed, and the wifi it
+  // joins is still enforced.
+  const std::string ok_sql =
+      "WITH x AS (SELECT * FROM aps WHERE ap < 3) "
+      "SELECT w.owner, x.building FROM wifi AS w, x WHERE w.wifiAP = x.ap";
+  auto allowed = session.Execute(ok_sql);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
+  auto oracle = sieve_.ExecuteReference(ok_sql, md_);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(Fingerprints(*allowed), Fingerprints(*oracle));
+  EXPECT_GT(allowed->size(), 0u);
+  EXPECT_LT(allowed->size(), direct->size());
 }
 
 TEST_F(SessionTest, SubqueryTableTurningProtectedDeniesAcceptedQuery) {
