@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -27,7 +28,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   while (true) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -35,19 +36,8 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    task();  // packaged_task captures exceptions into the future
+    task();
   }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 namespace {
@@ -63,34 +53,22 @@ struct BatchState {
   std::mutex mu;
   std::condition_variable done;
   size_t completed = 0;
-  size_t first_error_index = 0;
-  std::exception_ptr first_error;
 };
-
-// Message of the in-flight exception; callable only from inside a catch
-// block (rethrows and re-catches the active exception).
-std::string CurrentExceptionMessage() {
-  try {
-    throw;
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown exception";
-  }
-}
 
 }  // namespace
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::ParallelFor(size_t n, size_t max_threads,
+                             const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   auto state = std::make_shared<BatchState>();
 
   // Claim loop: grab the next unstarted index and run it. `fn` is only
   // dereferenced for claimed indices (next < n), and a claimed index keeps
   // the caller blocked below until it completes — so `fn` is always alive
-  // when invoked, even from a stale helper task.
+  // when invoked, even from a stale helper task. noexcept: a throwing `fn`
+  // terminates here instead of unwinding past the barrier.
   const std::function<void(size_t)>* fn_ptr = &fn;
-  auto claim_loop = [state, fn_ptr, n] {
+  auto claim_loop = [state, fn_ptr, n]() noexcept {
     while (true) {
       size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
@@ -99,37 +77,21 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       if (SIEVE_FAULT_POINT("pool.task.stall")) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      std::exception_ptr error;
-      try {
-        (*fn_ptr)(i);
-      } catch (...) {
-        // Park the failure wrapped with its task index — a bare rethrow at
-        // the barrier gave no hint which item failed. The original
-        // exception nests inside the wrapper.
-        try {
-          std::throw_with_nested(
-              ParallelForTaskError(i, CurrentExceptionMessage()));
-        } catch (...) {
-          error = std::current_exception();
-        }
-      }
+      (*fn_ptr)(i);
       std::lock_guard<std::mutex> lock(state->mu);
-      if (error != nullptr &&
-          (state->first_error == nullptr || i < state->first_error_index)) {
-        state->first_error = error;
-        state->first_error_index = i;
-      }
       if (++state->completed == n) state->done.notify_all();
     }
   };
 
-  // One helper per worker (capped at n); the caller claims too, so a batch
-  // makes progress even when every worker is busy with other batches.
-  size_t helpers = threads_.size() < n ? threads_.size() : n;
+  // One helper per worker, capped at n and at max_threads - 1; the caller
+  // claims too, so a batch makes progress even when every worker is busy
+  // with other batches.
+  const size_t helper_cap = max_threads == 0 ? 0 : max_threads - 1;
+  const size_t helpers = std::min({threads_.size(), n, helper_cap});
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < helpers; ++i) {
-      queue_.emplace(std::packaged_task<void()>(claim_loop));
+      queue_.emplace(claim_loop);
     }
   }
   cv_.notify_all();
@@ -138,7 +100,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->done.wait(lock, [&state, n] { return state->completed == n; });
-  if (state->first_error != nullptr) std::rethrow_exception(state->first_error);
 }
 
 }  // namespace sieve

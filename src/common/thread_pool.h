@@ -3,42 +3,19 @@
 
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 namespace sieve {
 
-/// Thrown by ThreadPool::ParallelFor when a work item throws: names the
-/// failing index and the original message, so the failure is attributable
-/// at the barrier instead of surfacing as an anonymous rethrow. The
-/// original exception rides along as the nested exception
-/// (std::rethrow_if_nested recovers its concrete type).
-class ParallelForTaskError : public std::runtime_error {
- public:
-  ParallelForTaskError(size_t task_index, const std::string& message)
-      : std::runtime_error("parallel task " + std::to_string(task_index) +
-                           " failed: " + message),
-        task_index_(task_index) {}
-
-  size_t task_index() const { return task_index_; }
-
- private:
-  size_t task_index_;
-};
-
 /// Fixed-size worker pool backing partition-parallel query execution.
-/// Tasks are plain callables; Submit returns a future that completes when
-/// the task finishes and carries any exception the task threw. The
-/// destructor drains the queue: every task submitted before destruction
-/// runs to completion before the workers join.
+/// ParallelFor is its only entry point. The destructor lets the workers
+/// drain the queue before they join.
 ///
 /// Nested-task support: ParallelFor may be called from *inside* a pool
-/// task (an interior operator fanning out its children while itself
+/// task (a UNION arm or a CTE body partitioning its pipeline while itself
 /// running as a partition worker). The calling thread always participates
 /// in its own batch — it claims and runs work items instead of blocking on
 /// the queue — so a nested fan-out completes even when every pool worker
@@ -55,28 +32,25 @@ class ThreadPool {
 
   size_t size() const { return threads_.size(); }
 
-  /// Enqueues `task`; the returned future rethrows the task's exception
-  /// (if any) from get(). Unlike ParallelFor, a Submit caller that blocks
-  /// on the future does not help drain the queue — do not wait on a
-  /// Submit future from inside a pool task.
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Runs fn(0) .. fn(n-1) across the pool and blocks until all complete.
-  /// If any invocation threw, the first failure (by index — deterministic
-  /// regardless of scheduling) is rethrown after every invocation has
-  /// finished — no task is left running. The rethrown exception is a
-  /// ParallelForTaskError naming the failing index, with the original
-  /// exception nested inside.
+  /// Runs fn(0) .. fn(n-1) on at most `max_threads` threads, the caller
+  /// included, and blocks until all complete. The caller always runs
+  /// indices itself; up to max_threads - 1 pool workers (never more than
+  /// size()) help, so a pool larger than a query's thread count does not
+  /// widen the query.
+  /// `fn` must not throw: an exception escaping it terminates the process
+  /// rather than unwinding past the barrier while other indices still run
+  /// (RunWorkers turns every failure into a Status first).
   /// Safe to call from inside a pool task (see class comment): the caller
   /// claims unstarted indices itself and only sleeps while indices it did
   /// not claim finish on other threads.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  void ParallelFor(size_t n, size_t max_threads,
+                   const std::function<void(size_t)>& fn);
 
  private:
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
-  std::queue<std::packaged_task<void()>> queue_;
+  std::queue<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool shutdown_ = false;

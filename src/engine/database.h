@@ -55,12 +55,12 @@ class Database : public EngineHooks {
 
   /// Parses, plans and runs `sql`. `timeout_seconds` 0 disables the timeout.
   /// `num_threads` > 1 enables parallel execution — morsel-partitioned
-  /// scan pipelines plus the UNION / hash-join / hash-aggregate / EXCEPT
-  /// operator interiors — on an internal thread pool (1 = serial, the
-  /// default). `batch_size` is the rows-per-batch unit of the vectorized
-  /// executor (1 runs capacity-1 batches through the same operators; 0
-  /// picks an adaptive per-operator size from the row width; negatives
-  /// clamp to 1).
+  /// scan pipelines (CTE bodies included) and concurrent UNION arms — on
+  /// an internal thread pool (1 = serial, the default); hash joins,
+  /// aggregates and EXCEPT consume their inputs serially. `batch_size` is
+  /// the rows-per-batch unit of the vectorized executor (1 runs
+  /// capacity-1 batches through the same operators; 0 picks an adaptive
+  /// per-operator size from the row width; negatives clamp to 1).
   /// Every (num_threads, batch_size) combination reproduces identical
   /// rows, row order and ExecStats.
   Result<ResultSet> ExecuteSql(const std::string& sql,
@@ -117,9 +117,10 @@ class Database : public EngineHooks {
                              const Row& outer_row);
 
   /// The worker pool backing partition-parallel execution, created on the
-  /// first parallel query and grown when a query asks for more threads.
-  /// Outgrown pools are retired, not destroyed: a concurrent query may
-  /// still be running on one, and ThreadPool's destructor joins.
+  /// first parallel query and grown when a query asks for more threads
+  /// (never shrunk: RunWorkers caps each fan-out at the query's own
+  /// num_threads). Outgrown pools are retired, not destroyed: a concurrent
+  /// query may still be running on one, and ThreadPool's destructor joins.
   ThreadPool* EnsurePool(size_t num_threads);
 
   Catalog catalog_;

@@ -1,4 +1,3 @@
-#include "plan/executor.h"
 #include "plan/operators.h"
 
 namespace sieve {
@@ -9,16 +8,6 @@ HashAggregateOperator::HashAggregateOperator(OperatorPtr child,
     : child_(std::move(child)),
       group_by_(std::move(group_by)),
       items_(std::move(items)) {}
-
-void HashAggregateOperator::AggState::Merge(const AggState& other) {
-  count += other.count;
-  sum += other.sum;
-  if (other.saw_value) {
-    if (!saw_value || other.min.Compare(min) < 0) min = other.min;
-    if (!saw_value || other.max.Compare(max) > 0) max = other.max;
-    saw_value = true;
-  }
-}
 
 void HashAggregateOperator::BuildOutputSchema(const Schema& input) {
   // Output schema mirrors the SELECT list.
@@ -52,47 +41,43 @@ void HashAggregateOperator::BuildOutputSchema(const Schema& input) {
   }
 }
 
-Status HashAggregateOperator::Accumulate(
-    Operator* child, ExecContext* ctx, const std::vector<ExprPtr>& group_by,
-    const std::vector<SelectItem>& items, size_t num_aggs,
-    std::vector<GroupState>* groups,
-    std::unordered_map<std::string, size_t>* group_index) {
-  Evaluator evaluator(&child->schema(), ctx->hooks, ctx->metadata, ctx->stats);
+Status HashAggregateOperator::Accumulate(ExecContext* ctx) {
+  Evaluator evaluator(&child_->schema(), ctx->hooks, ctx->metadata,
+                      ctx->stats);
   RowBatch batch(
-      EffectiveBatchSize(ctx->batch_size, child->schema().num_columns()));
+      EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
   Row row;
   while (true) {
     SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    SIEVE_ASSIGN_OR_RETURN(bool has, child->NextBatch(ctx, &batch));
+    SIEVE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &batch));
     if (!has) break;
     for (size_t r = 0; r < batch.size(); ++r) {
       batch.MaterializeRow(r, &row);
       Row key;
-      key.reserve(group_by.size());
-      for (const auto& g : group_by) {
+      key.reserve(group_by_.size());
+      for (const auto& g : group_by_) {
         SIEVE_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*g, row));
         key.push_back(std::move(v));
       }
       std::string fp = RowFingerprint(key);
-      auto it = group_index->find(fp);
+      auto it = group_index_.find(fp);
       size_t group_pos;
-      if (it == group_index->end()) {
-        group_pos = groups->size();
+      if (it == group_index_.end()) {
+        group_pos = groups_.size();
         GroupState state;
-        state.key = key;
         state.first_row = row;
-        state.aggs.resize(num_aggs);
-        groups->push_back(std::move(state));
-        group_index->emplace(std::move(fp), group_pos);
+        state.aggs.resize(num_aggs_);
+        groups_.push_back(std::move(state));
+        group_index_.emplace(std::move(fp), group_pos);
       } else {
         group_pos = it->second;
       }
 
       // Update aggregate states in SELECT-list order.
       size_t agg_pos = 0;
-      for (const auto& item : items) {
+      for (const auto& item : items_) {
         if (item.agg == AggFn::kNone) continue;
-        AggState& agg = (*groups)[group_pos].aggs[agg_pos++];
+        AggState& agg = groups_[group_pos].aggs[agg_pos++];
         if (item.agg == AggFn::kCountStar) {
           ++agg.count;
           continue;
@@ -119,32 +104,18 @@ Status HashAggregateOperator::Open(ExecContext* ctx) {
   group_index_.clear();
   pos_ = 0;
 
-  bool accumulated = false;
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (child_->CreatePartitions(PlanPartitionCount(*child_, *ctx),
-                                 &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
-      accumulated = true;
+  SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
+  const Schema& input = child_->schema();
+  for (auto& g : group_by_) {
+    SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), input));
+  }
+  for (auto& item : items_) {
+    if (item.expr != nullptr) {
+      SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), input));
     }
   }
-
-  if (!accumulated) {
-    SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
-    input_schema_ = child_->schema();
-    for (auto& g : group_by_) {
-      SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), input_schema_));
-    }
-    for (auto& item : items_) {
-      if (item.expr != nullptr) {
-        SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), input_schema_));
-      }
-    }
-    BuildOutputSchema(input_schema_);
-    SIEVE_RETURN_IF_ERROR(Accumulate(child_.get(), ctx, group_by_, items_,
-                                     num_aggs_, &groups_, &group_index_));
-  }
+  BuildOutputSchema(input);
+  SIEVE_RETURN_IF_ERROR(Accumulate(ctx));
 
   // SQL semantics: a global aggregate (no GROUP BY) over an empty input
   // still yields one row (COUNT(*) = 0).
@@ -162,76 +133,13 @@ Status HashAggregateOperator::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status HashAggregateOperator::OpenParallel(ExecContext* ctx,
-                                           std::vector<OperatorPtr>* parts) {
-  const size_t n = parts->size();
-  std::vector<std::vector<GroupState>> worker_groups(n);
-
-  SIEVE_RETURN_IF_ERROR(
-      RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
-        Operator* part = (*parts)[i].get();
-        SIEVE_RETURN_IF_ERROR(part->Open(worker));
-        // Private bound clones: binding mutates expression nodes in place,
-        // so workers must not share them with each other or the members.
-        std::vector<ExprPtr> group_by;
-        group_by.reserve(group_by_.size());
-        for (const auto& g : group_by_) group_by.push_back(g->Clone());
-        for (auto& g : group_by) {
-          SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), part->schema()));
-        }
-        std::vector<SelectItem> items = CloneItems(items_);
-        for (auto& item : items) {
-          if (item.expr != nullptr) {
-            SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), part->schema()));
-          }
-        }
-        std::unordered_map<std::string, size_t> local_index;
-        return Accumulate(part, worker, group_by, items, num_aggs_,
-                          &worker_groups[i], &local_index);
-      }));
-
-  // Bind the member expressions once against the (shared) input schema so
-  // NextBatch can evaluate group-key output expressions; then merge the
-  // partial states. Merging walks partitions in order and each partition's
-  // groups in local first-occurrence order, so the global group order
-  // equals the first-occurrence order of the serial input stream, and each
-  // group's representative row is the serially-first one.
-  input_schema_ = parts->front()->schema();
-  for (auto& g : group_by_) {
-    SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), input_schema_));
-  }
-  for (auto& item : items_) {
-    if (item.expr != nullptr) {
-      SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), input_schema_));
-    }
-  }
-  BuildOutputSchema(input_schema_);
-
-  for (std::vector<GroupState>& partial : worker_groups) {
-    for (GroupState& local : partial) {
-      std::string fp = RowFingerprint(local.key);
-      auto it = group_index_.find(fp);
-      if (it == group_index_.end()) {
-        group_index_.emplace(std::move(fp), groups_.size());
-        groups_.push_back(std::move(local));
-        continue;
-      }
-      GroupState& global = groups_[it->second];
-      for (size_t a = 0; a < global.aggs.size(); ++a) {
-        global.aggs[a].Merge(local.aggs[a]);
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Result<bool> HashAggregateOperator::NextBatch(ExecContext* ctx,
                                               RowBatch* out) {
   (void)ctx;
   out->clear();
   // Group-key expressions are re-evaluated on the representative row, so
   // arbitrary scalar expressions of the group key work.
-  Evaluator evaluator(&input_schema_, nullptr, nullptr, nullptr);
+  Evaluator evaluator(&child_->schema(), nullptr, nullptr, nullptr);
   Row row;
   while (pos_ < groups_.size() && !out->full()) {
     const GroupState& group = groups_[pos_++];

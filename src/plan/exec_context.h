@@ -91,14 +91,15 @@ class CteCache {
 /// the shared cache of materialized CTEs, and the partition-parallelism
 /// knobs.
 ///
-/// Parallel execution fans work out at two levels, both sharing one
-/// ThreadPool: Executor::Materialize splits partitionable pipelines into
-/// `num_threads` partitions, and interior operators (UNION children, the
-/// hash-join probe side, hash-aggregate partials) fan out again from
-/// inside Open. Each unit of parallel work runs under its own worker
-/// ExecContext (own ExecStats and cancel flag, shared timer epoch and CTE
-/// cache); the workers' stats are merged back at the barrier, so the
-/// counters here are never mutated concurrently.
+/// Parallel execution fans work out at two points, both sharing one
+/// ThreadPool: Executor::Materialize splits partitionable pipelines
+/// (every policy-filtered CTE body is one) into morsels, and
+/// UnionOperator drains its arms concurrently from inside Open. Hash
+/// joins, aggregates and EXCEPT consume their inputs serially. Each unit
+/// of parallel work runs under its own worker ExecContext (own ExecStats
+/// and cancel flag, shared timer epoch and CTE cache); the workers' stats
+/// are merged back at the barrier, so the counters here are never mutated
+/// concurrently.
 struct ExecContext {
   Catalog* catalog = nullptr;
   EngineHooks* hooks = nullptr;
@@ -126,7 +127,8 @@ struct ExecContext {
   /// Partition parallelism: 1 (the default) is today's serial behavior.
   /// When > 1, `pool` must point at a live thread pool, and partitionable
   /// pipelines split into several morsels per worker that the pool's
-  /// claim queue hands out dynamically (see Executor::Materialize).
+  /// claim queue hands out dynamically (see Executor::Materialize). Each
+  /// fan-out runs on at most this many threads, even on a larger pool.
   int num_threads = 1;
   ThreadPool* pool = nullptr;
   /// Set when a lower-index sibling partition failed; checked

@@ -98,6 +98,21 @@ Status DrainPartitioned(const std::vector<OperatorPtr>& parts,
   return Status::OK();
 }
 
+// The Status of a worker whose body threw. Formatting the message can
+// itself throw (bad_alloc); the fallback's message is short enough for the
+// string's inline buffer, so no exception escapes into ParallelFor's
+// noexcept claim loop.
+Status WorkerThrew(size_t i, const char* what) noexcept {
+  try {
+    return Status::ExecutionError(
+        what != nullptr
+            ? StrFormat("partition worker %zu threw: %s", i, what)
+            : StrFormat("partition worker %zu threw an unknown exception", i));
+  } catch (...) {
+    return Status(StatusCode::kExecutionError, "worker threw");
+  }
+}
+
 }  // namespace
 
 Status RunWorkers(ExecContext* ctx, size_t n,
@@ -110,28 +125,27 @@ Status RunWorkers(ExecContext* ctx, size_t n,
   Status first_error;
   size_t first_error_index = n;
 
-  ctx->pool->ParallelFor(n, [&](size_t i) {
-    ExecContext worker = ctx->MakeWorkerContext(&worker_stats[i], &cancel[i]);
+  auto run_worker = [&](size_t i) {
     Status st;
-    if (SIEVE_FAULT_POINT("exec.morsel.fail")) {
-      // Fails this morsel before it runs; flows through the same
-      // first-error/cancellation path as a genuine partition failure.
-      st = SIEVE_INJECT_FAULT("exec.morsel.fail");
-    } else {
-      try {
+    try {
+      ExecContext worker =
+          ctx->MakeWorkerContext(&worker_stats[i], &cancel[i]);
+      if (SIEVE_FAULT_POINT("exec.morsel.fail")) {
+        // Fails this morsel before it runs; flows through the same
+        // first-error/cancellation path as a genuine partition failure.
+        st = SIEVE_INJECT_FAULT("exec.morsel.fail");
+      } else {
         st = body(i, &worker);
-      } catch (const std::exception& e) {
-        // A throwing worker (a UDF raising, bad_alloc mid-drain) fails the
-        // query like any erroring partition: convert to a Status naming the
-        // partition and let the first-error selection below pick the winner
-        // deterministically, instead of the exception unwinding past the
-        // sibling workers' barrier.
-        st = Status::ExecutionError(
-            StrFormat("partition worker %zu threw: %s", i, e.what()));
-      } catch (...) {
-        st = Status::ExecutionError(
-            StrFormat("partition worker %zu threw an unknown exception", i));
       }
+    } catch (const std::exception& e) {
+      // A throwing worker (a UDF raising, bad_alloc mid-drain) fails the
+      // query like any erroring partition: convert to a Status naming the
+      // partition and let the first-error selection below pick the winner
+      // deterministically (an exception escaping into ParallelFor would
+      // terminate the process).
+      st = WorkerThrew(i, e.what());
+    } catch (...) {
+      st = WorkerThrew(i, nullptr);
     }
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(error_mu);
@@ -150,14 +164,16 @@ Status RunWorkers(ExecContext* ctx, size_t n,
         take = new_real != cur_real ? new_real : i < first_error_index;
       }
       if (take) {
-        first_error = st;
+        first_error = std::move(st);  // a move does not allocate
         first_error_index = i;
       }
       for (size_t j = i + 1; j < n; ++j) {
         cancel[j].store(true, std::memory_order_relaxed);
       }
     }
-  });
+  };
+  ctx->pool->ParallelFor(
+      n, static_cast<size_t>(std::max(ctx->num_threads, 1)), run_worker);
 
   if (ctx->stats != nullptr) {
     for (const ExecStats& stats : worker_stats) ctx->stats->Add(stats);

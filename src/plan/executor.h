@@ -23,19 +23,21 @@ struct ResultSet {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Fans `body` out as `n` workers on ctx->pool: body(i, worker) runs under
-/// a private worker context — own ExecStats (merged into ctx->stats at the
-/// barrier; partial work is counted even on failure), shared timeout
-/// epoch, CTE cache and pool, and its own cancel flag. A failure in worker
+/// Fans `body` out as `n` workers on ctx->pool, run by at most
+/// ctx->num_threads threads (the caller included) however large the pool
+/// is: body(i, worker) runs under a private worker context — own
+/// ExecStats (merged into ctx->stats at the barrier; partial work is
+/// counted even on failure), shared timeout epoch, CTE cache and pool,
+/// and its own cancel flag. A failure in worker
 /// i cancels only workers i+1..n-1, so they stop at their next cooperative
 /// check while every lower worker still runs to its own outcome; a worker
 /// also stops when an enclosing fan-out cancels the worker that called
 /// this one. The lowest-index failure is returned, a real error
-/// outranking a cancellation Timeout. Requires ctx->pool;
+/// outranking a cancellation Timeout; an exception thrown by `body` becomes
+/// an ExecutionError naming the worker. Requires ctx->pool;
 /// safe to call from inside a pool task (ParallelFor help-runs its batch).
-/// This is the one fan-out scaffold shared by pipeline partitioning and
-/// the interior operators (UNION children, hash-join probe, hash-aggregate
-/// partials).
+/// It has two callers: the partitioned drain behind Executor::Materialize
+/// and QueryCursor, and UnionOperator's concurrent arm drain.
 Status RunWorkers(ExecContext* ctx, size_t n,
                   const std::function<Status(size_t, ExecContext*)>& body);
 
@@ -146,10 +148,11 @@ class Executor {
   /// pool under per-worker contexts; per-worker ExecStats are merged into
   /// ctx->stats at the barrier and the per-partition row vectors are
   /// concatenated in partition order, so rows, row order and stat totals
-  /// are identical to a serial run. Falls back to a serial pull otherwise
-  /// — in which case interior operators (UNION, hash join, hash
-  /// aggregate) still parallelize themselves from inside Open using the
-  /// same pool (see the operator comments in plan/operators.h).
+  /// are identical to a serial run. Falls back to a serial pull otherwise;
+  /// the subtree's own materializations (CTE and derived-table scans, the
+  /// nested-loop inner side) still come back through this function and
+  /// fan out there, and a UNION drains its arms concurrently (see the
+  /// threading contract in plan/operators.h).
   static Status Materialize(Operator* root, ExecContext* ctx, Schema* schema,
                             std::vector<Row>* rows);
 };

@@ -11,15 +11,6 @@ Schema ConcatSchemas(const Schema& left, const Schema& right) {
   return out;
 }
 
-// Deep-copies key expressions so a probe worker can bind its own set
-// (binding mutates expression nodes in place).
-std::vector<ExprPtr> CloneExprs(const std::vector<ExprPtr>& exprs) {
-  std::vector<ExprPtr> out;
-  out.reserve(exprs.size());
-  for (const auto& e : exprs) out.push_back(e->Clone());
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -83,29 +74,8 @@ Status HashJoinOperator::BuildHashTable(ExecContext* ctx) {
 }
 
 Status HashJoinOperator::Open(ExecContext* ctx) {
-  buffered_ = false;
-  joined_.clear();
-  out_pos_ = 0;
-  probe_pos_ = 0;
-  // Parallel probe: the build side drains once on the calling thread (its
-  // own CTE inputs still materialize in parallel inside its Open), then
-  // the probe side fans out as morsels against the finished table.
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (left_->CreatePartitions(PlanPartitionCount(*left_, *ctx),
-                                &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
-      SIEVE_RETURN_IF_ERROR(ParallelProbe(ctx, &parts));
-      schema_ = ConcatSchemas(parts.front()->schema(), right_->schema());
-      buffered_ = true;
-      return Status::OK();
-    }
-  }
-
-  // Serial probe: open the probe side first (so its errors surface before
-  // the build drain, as they always have), then build and stream left rows
-  // through NextBatch.
+  // Open the probe side first (so its errors surface before the build
+  // drain), then build and stream left rows through NextBatch.
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
   SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
   schema_ = ConcatSchemas(left_->schema(), right_->schema());
@@ -116,83 +86,14 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
                                            ctx->metadata, ctx->stats);
   probe_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, left_->schema().num_columns()));
+  probe_pos_ = 0;
   matches_ = nullptr;
   match_pos_ = 0;
   return Status::OK();
 }
 
-Status HashJoinOperator::ParallelProbe(ExecContext* ctx,
-                                       std::vector<OperatorPtr>* parts) {
-  const size_t n = parts->size();
-  std::vector<std::vector<Row>> worker_rows(n);
-
-  // The build table is read-only from here on: concurrent probes race only
-  // on immutable buckets.
-  const BuildTable& build = build_;
-  SIEVE_RETURN_IF_ERROR(
-      RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
-        Operator* part = (*parts)[i].get();
-        SIEVE_RETURN_IF_ERROR(part->Open(worker));
-        std::vector<ExprPtr> keys = CloneExprs(left_keys_);
-        for (auto& k : keys) {
-          SIEVE_RETURN_IF_ERROR(BindExpr(k.get(), part->schema()));
-        }
-        Evaluator eval(&part->schema(), worker->hooks, worker->metadata,
-                       worker->stats);
-        RowBatch batch(EffectiveBatchSize(worker->batch_size,
-                                          part->schema().num_columns()));
-        Row row;
-        while (true) {
-          SIEVE_ASSIGN_OR_RETURN(bool has, part->NextBatch(worker, &batch));
-          if (!has) return Status::OK();
-          for (size_t r = 0; r < batch.size(); ++r) {
-            batch.MaterializeRow(r, &row);
-            std::vector<Value> key;
-            key.reserve(keys.size());
-            for (const auto& k : keys) {
-              SIEVE_ASSIGN_OR_RETURN(Value v, eval.Eval(*k, row));
-              key.push_back(std::move(v));
-            }
-            auto it = build.find(key);
-            if (it == build.end()) continue;
-            const std::vector<Row>& matches = it->second;
-            for (size_t m = 0; m < matches.size(); ++m) {
-              Row out;
-              out.reserve(row.size() + matches[m].size());
-              if (m + 1 == matches.size()) {
-                // Last match: the probe row is dead — steal its cells.
-                for (Value& v : row) out.push_back(std::move(v));
-              } else {
-                out.insert(out.end(), row.begin(), row.end());
-              }
-              out.insert(out.end(), matches[m].begin(), matches[m].end());
-              worker_rows[i].push_back(std::move(out));
-            }
-          }
-        }
-      }));
-
-  // Partitions cover contiguous probe slices in input order, and matches
-  // are appended in build-insertion order — concatenation reproduces the
-  // serial join output exactly.
-  size_t total = 0;
-  for (const auto& rows : worker_rows) total += rows.size();
-  joined_.reserve(total);
-  for (auto& rows : worker_rows) {
-    for (Row& row : rows) joined_.push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
 Result<bool> HashJoinOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->clear();
-  if (buffered_) {
-    // joined_ is owned by this operator until the next Open; serve views.
-    while (out_pos_ < joined_.size() && !out->full()) {
-      out->AppendExternalRow(joined_[out_pos_++]);
-    }
-    return !out->empty();
-  }
   while (!out->full()) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
       const Row& right_row = (*matches_)[match_pos_++];

@@ -205,53 +205,30 @@ bool ProjectOperator::CreatePartitions(size_t num_parts,
 }
 
 // ---------------------------------------------------------------------------
-// ConcurrentDedupSet
+// RowSet
 // ---------------------------------------------------------------------------
 
-ConcurrentDedupSet::ConcurrentDedupSet() : stripes_(kNumStripes) {}
-
-bool ConcurrentDedupSet::Offer(const Row& row, uint64_t tag) {
-  uint64_t h = RowHash64(row);
-  Stripe& stripe = stripes_[h & (kNumStripes - 1)];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  std::vector<Entry>& bucket = stripe.buckets[h];
-  for (Entry& entry : bucket) {
-    if (!RowsEqual(entry.row, row)) continue;
-    if (tag < entry.min_tag) {
-      entry.min_tag = tag;
-      return true;
-    }
-    return false;
-  }
-  bucket.push_back(Entry{row, tag});
-  return true;
-}
-
-bool ConcurrentDedupSet::IsWinner(const Row& row, uint64_t tag) const {
-  uint64_t h = RowHash64(row);
-  const Stripe& stripe = stripes_[h & (kNumStripes - 1)];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.buckets.find(h);
-  if (it == stripe.buckets.end()) return false;
-  for (const Entry& entry : it->second) {
-    if (RowsEqual(entry.row, row)) return entry.min_tag == tag;
+bool RowSet::Contains(const Row& row) const {
+  auto it = buckets_.find(RowHash64(row));
+  if (it == buckets_.end()) return false;
+  for (const Row& prev : it->second) {
+    if (RowsEqual(prev, row)) return true;
   }
   return false;
+}
+
+bool RowSet::Insert(const Row& row) {
+  std::vector<Row>& bucket = buckets_[RowHash64(row)];
+  for (const Row& prev : bucket) {
+    if (RowsEqual(prev, row)) return false;
+  }
+  bucket.push_back(row);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // UnionOperator
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// Serial position tag for parallel UNION dedup: child-major, sequence-minor
-// — i.e. the row's position in the serial output stream.
-uint64_t UnionTag(size_t child, size_t seq) {
-  return (static_cast<uint64_t>(child) << 40) | static_cast<uint64_t>(seq);
-}
-
-}  // namespace
 
 UnionOperator::UnionOperator(std::vector<OperatorPtr> children, bool all)
     : children_(std::move(children)), all_(all) {}
@@ -260,72 +237,49 @@ Status UnionOperator::Open(ExecContext* ctx) {
   if (children_.empty()) {
     return Status::Internal("UNION requires at least one child");
   }
-  buffered_ = false;
-  out_rows_.clear();
-  out_pos_ = 0;
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    return OpenParallel(ctx);
+  const size_t n = children_.size();
+  std::vector<Schema> schemas(n);
+  std::vector<std::vector<Row>> arm_rows;
+  buffered_ = ctx->num_threads > 1 && ctx->pool != nullptr;
+  if (buffered_) {
+    // Concurrent arms: each child drains under its own worker context, its
+    // pipeline free to partition further.
+    arm_rows.resize(n);
+    SIEVE_RETURN_IF_ERROR(
+        RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
+          return Executor::Materialize(children_[i].get(), worker,
+                                       &schemas[i], &arm_rows[i]);
+        }));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      SIEVE_RETURN_IF_ERROR(children_[i]->Open(ctx));
+      schemas[i] = children_[i]->schema();
+    }
   }
-  for (auto& child : children_) {
-    SIEVE_RETURN_IF_ERROR(child->Open(ctx));
-  }
-  schema_ = children_.front()->schema();
-  for (const auto& child : children_) {
-    if (child->schema().num_columns() != schema_.num_columns()) {
+  schema_ = schemas.front();
+  for (const Schema& schema : schemas) {
+    if (schema.num_columns() != schema_.num_columns()) {
       return Status::ExecutionError(
           "UNION arms produce different column counts");
     }
   }
   current_ = 0;
   seen_.clear();
-  child_batch_.reset(
-      EffectiveBatchSize(ctx->batch_size, schema_.num_columns()));
-  return Status::OK();
-}
-
-Status UnionOperator::OpenParallel(ExecContext* ctx) {
-  const size_t n = children_.size();
-  std::vector<Schema> worker_schemas(n);
-  // Per-child surviving rows with their serial-position tags; for UNION ALL
-  // the tags are unused and every row survives.
-  std::vector<std::vector<std::pair<Row, uint64_t>>> kept(n);
-  ConcurrentDedupSet dedup;
-
-  SIEVE_RETURN_IF_ERROR(
-      RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
-        std::vector<Row> rows;
-        SIEVE_RETURN_IF_ERROR(Executor::Materialize(
-            children_[i].get(), worker, &worker_schemas[i], &rows));
-        kept[i].reserve(rows.size());
-        for (size_t seq = 0; seq < rows.size(); ++seq) {
-          uint64_t tag = UnionTag(i, seq);
-          if (!all_ && !dedup.Offer(rows[seq], tag)) continue;
-          kept[i].emplace_back(std::move(rows[seq]), tag);
-        }
-        return Status::OK();
-      }));
-
-  schema_ = worker_schemas.front();
-  for (const Schema& schema : worker_schemas) {
-    if (schema.num_columns() != schema_.num_columns()) {
-      return Status::ExecutionError(
-          "UNION arms produce different column counts");
-    }
-  }
-
-  // Ordered merge: children in child order, rows in sequence order. For
-  // UNION, only first-occurrence winners survive — exactly the rows (and
-  // row order) the serial streaming dedup would emit.
-  size_t total = 0;
-  for (const auto& child_rows : kept) total += child_rows.size();
-  out_rows_.reserve(total);
-  for (auto& child_rows : kept) {
-    for (auto& [row, tag] : child_rows) {
-      if (!all_ && !dedup.IsWinner(row, tag)) continue;
+  out_rows_.clear();
+  out_pos_ = 0;
+  // The arm buffers in child order are the serial input stream; the same
+  // first-occurrence filter NextBatch streams through keeps the serial
+  // rows and row order. The set is local: once Open returns, only the
+  // deduped rows stay buffered.
+  RowSet arm_seen;
+  for (std::vector<Row>& rows : arm_rows) {
+    for (Row& row : rows) {
+      if (!all_ && !arm_seen.Insert(row)) continue;
       out_rows_.push_back(std::move(row));
     }
   }
-  buffered_ = true;
+  child_batch_.reset(
+      EffectiveBatchSize(ctx->batch_size, schema_.num_columns()));
   return Status::OK();
 }
 
@@ -350,19 +304,7 @@ Result<bool> UnionOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
     }
     for (size_t k = 0; k < child_batch_.size(); ++k) {
       child_batch_.MaterializeRow(k, &row);
-      if (!all_) {
-        uint64_t h = RowHash64(row);
-        auto& bucket = seen_[h];
-        bool duplicate = false;
-        for (const Row& prev : bucket) {
-          if (RowsEqual(prev, row)) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
-        bucket.push_back(row);
-      }
+      if (!all_ && !seen_.Insert(row)) continue;
       out->PushRow(std::move(row));
     }
   }
@@ -380,18 +322,16 @@ std::string UnionOperator::name() const {
 ExceptOperator::ExceptOperator(OperatorPtr left, OperatorPtr right)
     : left_(std::move(left)), right_(std::move(right)) {}
 
-bool ExceptOperator::Contains(
-    const std::unordered_map<uint64_t, std::vector<Row>>& set,
-    const Row& row) const {
-  auto it = set.find(RowHash64(row));
-  if (it == set.end()) return false;
-  for (const Row& prev : it->second) {
-    if (RowsEqual(prev, row)) return true;
+Status ExceptOperator::Open(ExecContext* ctx) {
+  SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
+  SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
+  schema_ = left_->schema();
+  if (schema_.num_columns() != right_->schema().num_columns()) {
+    return Status::ExecutionError("EXCEPT arms produce different column counts");
   }
-  return false;
-}
-
-Status ExceptOperator::DrainRightSet(ExecContext* ctx) {
+  emitted_.clear();
+  left_batch_.reset(
+      EffectiveBatchSize(ctx->batch_size, schema_.num_columns()));
   right_rows_.clear();
   RowBatch batch(
       EffectiveBatchSize(ctx->batch_size, right_->schema().num_columns()));
@@ -402,85 +342,7 @@ Status ExceptOperator::DrainRightSet(ExecContext* ctx) {
     if (!has) break;
     for (size_t k = 0; k < batch.size(); ++k) {
       batch.MaterializeRow(k, &row);
-      right_rows_[RowHash64(row)].push_back(std::move(row));
-    }
-  }
-  return Status::OK();
-}
-
-Status ExceptOperator::Open(ExecContext* ctx) {
-  buffered_ = false;
-  out_rows_.clear();
-  out_pos_ = 0;
-  emitted_.clear();
-  left_batch_.reset(static_cast<size_t>(
-      EffectiveBatchSize(ctx->batch_size, /*num_columns=*/0)));
-
-  // Parallel interior: build the subtrahend set once, then partition the
-  // minuend probe across morsels (the set is read-only from then on).
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (left_->CreatePartitions(PlanPartitionCount(*left_, *ctx),
-                                &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
-      SIEVE_RETURN_IF_ERROR(DrainRightSet(ctx));
-      SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
-      buffered_ = true;
-      return Status::OK();
-    }
-  }
-
-  SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
-  SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
-  schema_ = left_->schema();
-  if (schema_.num_columns() != right_->schema().num_columns()) {
-    return Status::ExecutionError("EXCEPT arms produce different column counts");
-  }
-  left_batch_.reset(
-      EffectiveBatchSize(ctx->batch_size, schema_.num_columns()));
-  return DrainRightSet(ctx);
-}
-
-Status ExceptOperator::OpenParallel(ExecContext* ctx,
-                                    std::vector<OperatorPtr>* parts) {
-  const size_t n = parts->size();
-  std::vector<std::vector<Row>> kept(n);
-  std::vector<Schema> worker_schemas(n);
-  const std::unordered_map<uint64_t, std::vector<Row>>& right = right_rows_;
-
-  SIEVE_RETURN_IF_ERROR(
-      RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
-        Operator* part = (*parts)[i].get();
-        SIEVE_RETURN_IF_ERROR(part->Open(worker));
-        worker_schemas[i] = part->schema();
-        RowBatch batch(EffectiveBatchSize(worker->batch_size,
-                                          part->schema().num_columns()));
-        Row row;
-        while (true) {
-          SIEVE_ASSIGN_OR_RETURN(bool has, part->NextBatch(worker, &batch));
-          if (!has) return Status::OK();
-          for (size_t r = 0; r < batch.size(); ++r) {
-            batch.MaterializeRow(r, &row);
-            if (Contains(right, row)) continue;
-            kept[i].push_back(std::move(row));
-          }
-        }
-      }));
-
-  schema_ = worker_schemas.front();
-  if (schema_.num_columns() != right_->schema().num_columns()) {
-    return Status::ExecutionError("EXCEPT arms produce different column counts");
-  }
-
-  // Ordered distinct merge: morsels concatenate to the serial minuend
-  // stream, and this streaming dedup is exactly the serial emitted_
-  // filter — so rows and row order match a serial run.
-  for (std::vector<Row>& rows : kept) {
-    for (Row& row : rows) {
-      if (Contains(emitted_, row)) continue;
-      emitted_[RowHash64(row)].push_back(row);
-      out_rows_.push_back(std::move(row));
+      right_rows_.Insert(row);
     }
   }
   return Status::OK();
@@ -488,14 +350,6 @@ Status ExceptOperator::OpenParallel(ExecContext* ctx,
 
 Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   out->clear();
-  if (buffered_) {
-    // Buffered rows are owned by this operator until the next Open, so
-    // views into them are stable for the batch's lifetime.
-    while (out_pos_ < out_rows_.size() && !out->full()) {
-      out->AppendExternalRow(out_rows_[out_pos_++]);
-    }
-    return !out->empty();
-  }
   Row row;
   while (out->empty()) {
     SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
@@ -503,9 +357,7 @@ Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
     if (!has) return false;
     for (size_t k = 0; k < left_batch_.size(); ++k) {
       left_batch_.MaterializeRow(k, &row);
-      if (Contains(right_rows_, row)) continue;
-      if (Contains(emitted_, row)) continue;
-      emitted_[RowHash64(row)].push_back(row);
+      if (right_rows_.Contains(row) || !emitted_.Insert(row)) continue;
       out->PushRow(std::move(row));
     }
   }

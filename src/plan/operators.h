@@ -39,15 +39,16 @@ using OperatorPtr = std::unique_ptr<Operator>;
 ///
 /// Threading contract (applies to every subclass unless it says otherwise):
 /// Open and NextBatch are driven by a single thread per operator
-/// instance. Parallelism enters in two ways, both preserving exact serial
-/// rows, row order and ExecStats totals:
+/// instance. Parallelism enters at two points, both preserving exact
+/// serial rows, row order and ExecStats totals:
 ///   1. CreatePartitions (below) hands out clones that concurrent workers
 ///      drive independently; the executor creates several morsels per
 ///      worker and hands them out dynamically (see Executor::Materialize).
-///   2. Interior operators (UnionOperator, HashJoinOperator,
-///      HashAggregateOperator, ExceptOperator) fan their own input out
-///      across ExecContext::pool from inside Open when ctx->num_threads
-///      > 1, then serve the merged result on the calling thread.
+///      Every materialization goes through it, so each policy-filtered CTE
+///      body fans out wherever the query consumes it.
+///   2. UnionOperator drains its arms concurrently from inside Open when
+///      ctx->num_threads > 1, then dedups them on the calling thread.
+/// Every other operator consumes its inputs serially.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -111,6 +112,20 @@ uint64_t RowHash64(const Row& row);
 
 /// Value-equality of two rows (SQL semantics via Value::Compare).
 bool RowsEqual(const Row& a, const Row& b);
+
+/// Exact set of rows, bucketed by RowHash64 and compared with RowsEqual:
+/// the first-occurrence filter behind UNION and EXCEPT.
+class RowSet {
+ public:
+  bool Contains(const Row& row) const;
+  /// Adds a copy of `row` unless an equal row is present; returns whether
+  /// it was added, i.e. whether this is the row's first occurrence.
+  bool Insert(const Row& row);
+  void clear() { buckets_.clear(); }
+
+ private:
+  std::unordered_map<uint64_t, std::vector<Row>> buckets_;
+};
 
 /// Fingerprints a row for hashing/dedup (stable across runs).
 std::string RowFingerprint(const Row& row);
@@ -262,11 +277,13 @@ class IndexUnionBitmapScanOperator : public RowIdListScanOperator {
 /// every other reference reuses the rows.
 ///
 /// Threading: materialization happens exactly once per cache key per
-/// query, no matter which worker gets there first (CteCache). Partition
-/// clones additionally slice the materialized rows into contiguous ranges
-/// — this is what lets the probe side of a hash join over the policy-
-/// filtered CTE partition across workers. Clones of one CreatePartitions
-/// call share the producer subtree guarded by exactly-once semantics.
+/// query, no matter which worker gets there first (CteCache), and runs
+/// through Executor::Materialize, so the CTE body fans out even when the
+/// operator above this scan (a hash join, an aggregate) runs serially.
+/// Partition clones additionally slice the materialized rows into
+/// contiguous ranges, so a pipeline of filters and projections over the
+/// CTE partitions too. Clones of one CreatePartitions call share the
+/// producer subtree guarded by exactly-once semantics.
 class MaterializedScanOperator : public Operator {
  public:
   /// `child` produces the data on first Open (allows CTE sharing via the
@@ -385,15 +402,11 @@ class ProjectOperator : public Operator {
 /// table with other relations: the probe side is then the policy-filtered
 /// CTE whose tuples already passed the guards and the Δ operator.
 ///
-/// Parallel interior: Open always builds the hash table once (serial pull
-/// of the build side; its own CTE inputs still materialize in parallel).
-/// When ctx->num_threads > 1 and the probe side supports
-/// CreatePartitions, the probe fans out across workers — each partition
-/// probes the shared read-only hash table with privately cloned key
-/// expressions and buffers its joined rows; buffers are concatenated in
-/// partition order, reproducing the serial output order exactly (probe
-/// rows in input order, matches in build-insertion order). Falls back to
-/// streaming serial probing otherwise.
+/// Open drains the build side into the hash table; NextBatch then streams
+/// the probe side, emitting probe rows in input order and each probe
+/// row's matches in build-insertion order. Both sides are pulled on the
+/// calling thread; a policy-filtered CTE on either side has already
+/// fanned out while it materialized (see MaterializedScanOperator).
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
@@ -402,7 +415,7 @@ class HashJoinOperator : public Operator {
 
   Status Open(ExecContext* ctx) override;
   /// Probes a whole input batch per key-expression bind, emitting joined
-  /// rows batch-at-a-time (buffered slices in parallel-probe mode).
+  /// rows batch-at-a-time.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
@@ -418,11 +431,8 @@ class HashJoinOperator : public Operator {
   using BuildTable = std::unordered_map<std::vector<Value>, std::vector<Row>,
                                         VecValueHash, VecValueEq>;
 
-  /// Drains the build (right) side into build_; serial, run once per Open.
+  /// Drains the build (right) side into build_; run once per Open.
   Status BuildHashTable(ExecContext* ctx);
-  /// Drives `parts` (partitions of the probe side) on the pool; fills
-  /// joined_ with the concatenated per-partition outputs.
-  Status ParallelProbe(ExecContext* ctx, std::vector<OperatorPtr>* parts);
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -435,12 +445,8 @@ class HashJoinOperator : public Operator {
   size_t match_pos_ = 0;
   std::unique_ptr<Evaluator> left_eval_;
   std::unique_ptr<Evaluator> right_eval_;
-  RowBatch probe_batch_;   // serial probe: reused probe-side input buffer
+  RowBatch probe_batch_;   // reused probe-side input buffer
   size_t probe_pos_ = 0;   // next unconsumed row of probe_batch_
-  // Parallel-probe mode: the joined output, buffered at Open.
-  bool buffered_ = false;
-  std::vector<Row> joined_;
-  size_t out_pos_ = 0;
 };
 
 /// Nested-loop cross join (right side materialized). Residual predicates are
@@ -493,17 +499,10 @@ class NestedLoopJoinOperator : public Operator {
 
 /// Hash aggregation implementing GROUP BY + COUNT/SUM/AVG/MIN/MAX.
 ///
-/// Parallel interior: when ctx->num_threads > 1 and the child pipeline
-/// supports CreatePartitions, Open computes per-partition partial
-/// aggregates on the pool (each worker accumulates its slice with private
-/// clones of the group-by and aggregate expressions) and merges them at
-/// the barrier with per-function logic: COUNT/SUM add, MIN/MAX compare,
-/// AVG derives from merged sum and count at output time. Groups are merged
-/// in partition order, so group output order (first-occurrence order of
-/// the serial input stream) and each group's representative row are
-/// preserved exactly. SUM/AVG merge adds per-partition partial sums, which
-/// is bit-exact for integer-valued inputs (all workload datasets) and may
-/// differ from serial in the last ulp for arbitrary floating-point data.
+/// Open pulls the whole input on the calling thread; groups come out in
+/// first-occurrence order of the input stream. A policy-filtered CTE
+/// input has already fanned out while it materialized (see
+/// MaterializedScanOperator).
 class HashAggregateOperator : public Operator {
  public:
   HashAggregateOperator(OperatorPtr child, std::vector<ExprPtr> group_by,
@@ -523,78 +522,27 @@ class HashAggregateOperator : public Operator {
     bool saw_value = false;
     Value min;
     Value max;
-
-    /// Folds another partition's partial state into this one.
-    void Merge(const AggState& other);
   };
   struct GroupState {
-    Row key;
     Row first_row;  // representative row for group-key output expressions
     std::vector<AggState> aggs;
   };
 
-  /// Pulls `child` (already opened) to exhaustion, accumulating into
-  /// *groups / *group_index. `group_by` and `items` must be bound against
-  /// the child's schema. Used by both the serial path (on the members) and
-  /// each parallel worker (on private clones + local group tables).
-  static Status Accumulate(Operator* child, ExecContext* ctx,
-                           const std::vector<ExprPtr>& group_by,
-                           const std::vector<SelectItem>& items,
-                           size_t num_aggs, std::vector<GroupState>* groups,
-                           std::unordered_map<std::string, size_t>* group_index);
+  /// Pulls child_ (already opened, expressions bound) to exhaustion,
+  /// accumulating into groups_ / group_index_.
+  Status Accumulate(ExecContext* ctx);
 
   /// Computes the output schema from the bound items_ and `input` schema.
   void BuildOutputSchema(const Schema& input);
-
-  /// Per-partition partial aggregation + ordered merge; fills groups_.
-  Status OpenParallel(ExecContext* ctx, std::vector<OperatorPtr>* parts);
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
   std::vector<SelectItem> items_;
   Schema schema_;
-  Schema input_schema_;  // child schema used to evaluate output expressions
   size_t num_aggs_ = 0;
   std::vector<GroupState> groups_;
   std::unordered_map<std::string, size_t> group_index_;
   size_t pos_ = 0;
-};
-
-/// Concurrency-safe exact dedup set used by the parallel UNION interior.
-/// Each offered row carries a tag encoding (child index, sequence in
-/// child) — i.e. its position in the serial output stream. Offer keeps the
-/// row iff its tag is the smallest seen so far for that row value, so
-/// after all offers the surviving tag per distinct row is exactly the
-/// serial first occurrence. Internally striped: concurrent offers for
-/// different hash stripes do not contend.
-///
-/// Threading: Offer may be called from any number of threads. IsWinner is
-/// called after every producing thread reached the barrier.
-class ConcurrentDedupSet {
- public:
-  ConcurrentDedupSet();
-
-  /// Records `row` under `tag`; returns false when an equal row with a
-  /// smaller (earlier) tag already exists — the caller can drop the row
-  /// immediately, its earlier twin is guaranteed to be emitted.
-  bool Offer(const Row& row, uint64_t tag);
-
-  /// True when `tag` is the final (smallest) tag recorded for `row`; only
-  /// such rows are emitted, in tag order, reproducing the serial stream.
-  bool IsWinner(const Row& row, uint64_t tag) const;
-
- private:
-  struct Entry {
-    Row row;
-    uint64_t min_tag;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, std::vector<Entry>> buckets;
-  };
-
-  static constexpr size_t kNumStripes = 16;  // power of two
-  std::vector<Stripe> stripes_;
 };
 
 /// UNION / UNION ALL over any number of children (schemas must have equal
@@ -603,14 +551,13 @@ class ConcurrentDedupSet {
 /// each forcing its guard's index, deduped because two guards can admit
 /// the same tuple.
 ///
-/// Parallel interior: when ctx->num_threads > 1, Open drains all children
-/// concurrently on the pool (each child under its own worker context, its
-/// pipeline free to partition further), pre-filtering duplicates through a
-/// ConcurrentDedupSet keyed by serial stream position. The per-child
-/// buffers are concatenated in child order and, for UNION, reduced to the
-/// first-occurrence winners — reproducing the serial rows, row order and
-/// ExecStats totals exactly. UNION ALL skips the dedup set and just
-/// concatenates in child order.
+/// Concurrent arms: when ctx->num_threads > 1, Open drains every child on
+/// the pool (each under its own worker context through
+/// Executor::Materialize, so an arm's pipeline partitions further). After
+/// the barrier the arm buffers are concatenated in child order and, for
+/// UNION, passed through the same first-occurrence filter (a RowSet) the
+/// serial stream uses, so rows, row order and ExecStats totals equal a
+/// serial run. Otherwise NextBatch streams the children one after another.
 class UnionOperator : public Operator {
  public:
   UnionOperator(std::vector<OperatorPtr> children, bool all);
@@ -622,18 +569,13 @@ class UnionOperator : public Operator {
   std::string name() const override;
 
  private:
-  /// Concurrent child drain + ordered dedup merge; fills out_rows_.
-  Status OpenParallel(ExecContext* ctx);
-
   std::vector<OperatorPtr> children_;
   bool all_;
   Schema schema_;
-  RowBatch child_batch_;  // serial path: reused input buffer
+  RowBatch child_batch_;  // streaming path: reused input buffer
   size_t current_ = 0;
-  // Hash-bucketed exact dedup for the serial path: candidate rows compare
-  // against the rows already emitted under the same hash.
-  std::unordered_map<uint64_t, std::vector<Row>> seen_;
-  // Parallel-interior mode: the merged output, buffered at Open.
+  RowSet seen_;  // streaming UNION: every row emitted so far
+  // Concurrent-arm mode: the deduped output, buffered at Open.
   bool buffered_ = false;
   std::vector<Row> out_rows_;
   size_t out_pos_ = 0;
@@ -645,14 +587,9 @@ class UnionOperator : public Operator {
 /// the rewriter guarantees by replacing table refs with policy-filtered
 /// CTEs.
 ///
-/// Parallel interior: Open always builds the subtrahend (right) hash set
-/// once on the calling thread. When ctx->num_threads > 1 and the minuend
-/// (left) pipeline supports CreatePartitions, the probe fans out across
-/// workers — each morsel filters its rows against the shared read-only
-/// right set and buffers the survivors; buffers are concatenated in
-/// morsel order and reduced to distinct first occurrences on the calling
-/// thread, reproducing the serial rows, row order and ExecStats exactly.
-/// Falls back to streaming serial probing otherwise.
+/// Open drains the subtrahend (right) into a row set; NextBatch then
+/// streams the minuend (left), emitting the first occurrence of each row
+/// the set does not contain. Both sides are pulled on the calling thread.
 class ExceptOperator : public Operator {
  public:
   ExceptOperator(OperatorPtr left, OperatorPtr right);
@@ -664,24 +601,12 @@ class ExceptOperator : public Operator {
   std::string name() const override { return "Except"; }
 
  private:
-  bool Contains(const std::unordered_map<uint64_t, std::vector<Row>>& set,
-                const Row& row) const;
-
-  /// Drains the (already opened) right side into right_rows_.
-  Status DrainRightSet(ExecContext* ctx);
-  /// Parallel minuend probe + ordered distinct merge; fills out_rows_.
-  Status OpenParallel(ExecContext* ctx, std::vector<OperatorPtr>* parts);
-
   OperatorPtr left_;
   OperatorPtr right_;
   Schema schema_;
-  std::unordered_map<uint64_t, std::vector<Row>> right_rows_;
-  std::unordered_map<uint64_t, std::vector<Row>> emitted_;
-  RowBatch left_batch_;  // serial path: reused input buffer
-  // Parallel-interior mode: the surviving rows, buffered at Open.
-  bool buffered_ = false;
-  std::vector<Row> out_rows_;
-  size_t out_pos_ = 0;
+  RowSet right_rows_;
+  RowSet emitted_;
+  RowBatch left_batch_;  // reused minuend input buffer
 };
 
 }  // namespace sieve

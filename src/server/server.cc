@@ -170,10 +170,11 @@ void SieveServer::Stop() {
     bool idle = true;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      idle = cursor_lane_.empty() && general_lane_.empty();
+      idle = cursor_lane_.empty() && general_lane_.empty() &&
+             open_cursors_.load() == 0;
       if (idle) {
         for (auto& [fd, c] : conns_) {
-          if (c->busy || c->cursor || !c->inbox.empty()) {
+          if (c->busy || !c->inbox.empty()) {
             idle = false;
             break;
           }
@@ -213,6 +214,7 @@ void SieveServer::Stop() {
         if (c->busy || !c->cursor) continue;
         orphans.push_back(std::move(c->cursor));
         c->cursor_id = 0;
+        open_cursors_.fetch_sub(1);
         cursors_aborted_.fetch_add(1, std::memory_order_relaxed);
         if (c->admitted) {
           admission_.Release(c->ident.md.querier);
@@ -274,11 +276,9 @@ SieveServer::Stats SieveServer::stats() const {
   s.drain_rejected = drain_rejected_.load(std::memory_order_relaxed);
   s.cursors_drained = cursors_drained_.load(std::memory_order_relaxed);
   s.cursors_aborted = cursors_aborted_.load(std::memory_order_relaxed);
+  s.open_cursors = open_cursors_.load();
   std::lock_guard<std::mutex> lock(mu_);
   s.active_connections = conns_.size();
-  for (const auto& [fd, c] : conns_) {
-    if (c->cursor) ++s.open_cursors;
-  }
   return s;
 }
 
@@ -820,6 +820,7 @@ void SieveServer::HandleExecute(Connection* conn, WireReader* rd) {
     return;
   }
   conn->cursor = std::make_unique<ResultCursor>(std::move(*cur));
+  open_cursors_.fetch_add(1);
   conn->cursor_id = conn->next_cursor_id++;
   queries_.fetch_add(1, std::memory_order_relaxed);
   ReplyCursorChunk(conn, *chunk_rows);
@@ -888,6 +889,7 @@ void SieveServer::FinishCursor(Connection* conn, bool abandon) {
   if (conn->cursor) {
     if (abandon) conn->cursor->Close();
     conn->cursor.reset();
+    open_cursors_.fetch_sub(1);
     // Drain bookkeeping: cursors that close while Stop() waits count as
     // drained; those still alive at the hard stop count as aborted.
     if (hard_stop_.load(std::memory_order_acquire)) {

@@ -254,6 +254,10 @@ class SieveServer {
   std::atomic<uint64_t> drain_rejected_{0};
   std::atomic<uint64_t> cursors_drained_{0};
   std::atomic<uint64_t> cursors_aborted_{0};
+  /// Connections holding a cursor. Workers store and release
+  /// Connection::cursor without mu_, so stats() and Stop() read this count
+  /// instead of the connections' cursor fields.
+  std::atomic<size_t> open_cursors_{0};
 };
 
 }  // namespace sieve::server

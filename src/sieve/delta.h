@@ -22,7 +22,7 @@ inline constexpr char kDeltaUdfName[] = "delta";
 /// ExecStats, which is what the inline-vs-Δ calibration (Figure 3) measures.
 ///
 /// Threading: the registered UDF is evaluated concurrently by parallel scan
-/// partitions and interior-operator workers. It is race-free because the
+/// partitions and concurrent UNION arms. It is race-free because the
 /// guard's policy partition is bound against the tuple schema exactly once
 /// (GuardStore::DeltaPartition::bind_once) and treated as immutable
 /// afterwards, and each worker counts into its own ExecStats.

@@ -1,5 +1,6 @@
 #include "sieve/middleware.h"
 
+#include <functional>
 #include <mutex>
 #include <shared_mutex>
 
@@ -9,6 +10,26 @@
 #include "sieve/session.h"
 
 namespace sieve {
+
+namespace {
+
+// Calls `fn` on every base-table reference in the FROM lists of `stmt`'s
+// UNION arms and, recursively, of its derived tables. CTE bodies are not
+// visited.
+void ForEachBaseTableRef(SelectStmt* stmt,
+                         const std::function<void(TableRef*)>& fn) {
+  for (SelectStmt* arm = stmt; arm != nullptr; arm = arm->union_next.get()) {
+    for (auto& ref : arm->from) {
+      if (ref.subquery != nullptr) {
+        ForEachBaseTableRef(ref.subquery.get(), fn);
+      } else {
+        fn(&ref);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 SieveMiddleware::~SieveMiddleware() {
   // No sessions may be live at destruction, so the gate is uncontended;
@@ -112,27 +133,24 @@ Result<ResultSet> SieveMiddleware::ExecuteReference(const std::string& sql,
   SIEVE_ASSIGN_OR_RETURN(SelectStmtPtr stmt, Parser::Parse(sql));
   SelectStmtPtr rewritten = stmt->Clone();
 
-  // Collect protected tables referenced by the query.
+  // Collect protected tables referenced by the query, derived tables
+  // included.
   std::vector<std::string> tables;
-  for (const SelectStmt* arm = rewritten.get(); arm != nullptr;
-       arm = arm->union_next.get()) {
-    for (const auto& ref : arm->from) {
-      if (ref.subquery != nullptr) continue;
-      bool has_policy = false;
-      for (const Policy& p : policies_.policies()) {
-        if (EqualsIgnoreCase(p.table_name, ref.table_name)) {
-          has_policy = true;
-          break;
-        }
+  ForEachBaseTableRef(rewritten.get(), [&](TableRef* ref) {
+    bool has_policy = false;
+    for (const Policy& p : policies_.policies()) {
+      if (EqualsIgnoreCase(p.table_name, ref->table_name)) {
+        has_policy = true;
+        break;
       }
-      if (!has_policy) continue;
-      bool seen = false;
-      for (const auto& t : tables) {
-        if (EqualsIgnoreCase(t, ref.table_name)) seen = true;
-      }
-      if (!seen) tables.push_back(ref.table_name);
     }
-  }
+    if (!has_policy) return;
+    bool seen = false;
+    for (const auto& t : tables) {
+      if (EqualsIgnoreCase(t, ref->table_name)) seen = true;
+    }
+    if (!seen) tables.push_back(ref->table_name);
+  });
 
   for (const std::string& table : tables) {
     std::vector<const Policy*> relevant =
@@ -152,17 +170,12 @@ Result<ResultSet> SieveMiddleware::ExecuteReference(const std::string& sql,
     }
     std::string cte_name = "sieve_ref_" + ToLower(table);
     rewritten->ctes.push_back({cte_name, cte_body});
-    for (SelectStmt* arm = rewritten.get(); arm != nullptr;
-         arm = arm->union_next.get()) {
-      for (auto& ref : arm->from) {
-        if (ref.subquery == nullptr &&
-            EqualsIgnoreCase(ref.table_name, table)) {
-          if (ref.alias.empty()) ref.alias = ref.table_name;
-          ref.table_name = cte_name;
-          ref.hint = IndexHint{};
-        }
-      }
-    }
+    ForEachBaseTableRef(rewritten.get(), [&](TableRef* ref) {
+      if (!EqualsIgnoreCase(ref->table_name, table)) return;
+      if (ref->alias.empty()) ref->alias = ref->table_name;
+      ref->table_name = cte_name;
+      ref->hint = IndexHint{};
+    });
   }
   return db_->ExecuteStmt(*rewritten, &md, options_.timeout_seconds,
                           options_.num_threads, options_.batch_size);

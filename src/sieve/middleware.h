@@ -31,12 +31,13 @@ struct SieveOptions {
   bool calibrate_cost_model = false;
   /// Regeneration mode for dynamic policy insertions.
   RegenerationMode regeneration_mode = RegenerationMode::kLazy;
-  /// Partition-parallel execution: guarded scans *and* the interiors of
-  /// UNION / hash join / hash aggregate / EXCEPT run on this many worker
-  /// threads (morsel-scheduled — see ARCHITECTURE.md). 1 (the default)
-  /// preserves serial behavior; parallel runs return the same rows in the
-  /// same order with the same ExecStats totals, just faster on multi-core
-  /// hardware.
+  /// Partition-parallel execution on at most this many threads (the
+  /// calling thread included) per fan-out: every scan-shaped pipeline
+  /// (each policy-filtered CTE body among them) splits into morsels, and
+  /// UNION arms drain concurrently; hash joins, aggregates and EXCEPT
+  /// consume their inputs serially (see ARCHITECTURE.md). 1 (the default) preserves serial behavior; parallel
+  /// runs return the same rows in the same order with the same ExecStats
+  /// totals.
   int num_threads = 1;
   /// Rows per execution batch of the vectorized executor: scans emit
   /// whole morsels, guard/Δ predicates run as column kernels once per

@@ -74,9 +74,9 @@ std::vector<std::string> CollectReferencedTables(const SelectStmt& stmt);
 /// text executes as written, so it cannot be rewritten.
 ///
 /// The plans this shapes are what the parallel executor later fans out: the
-/// MySQL-profile IndexGuards strategy emits a UNION of guard arms (driven
-/// concurrently by UnionOperator), and multi-table queries join the
-/// policy-filtered CTE (the probe side HashJoinOperator partitions).
+/// policy-filtered CTE body splits into morsels wherever the query
+/// consumes it, and the MySQL-profile IndexGuards strategy emits a UNION
+/// of guard arms (driven concurrently by UnionOperator).
 /// Query-local predicates ride along into the CTE body only when the CTE
 /// has a single consumer — one reference, no set-op chain — since every
 /// reference scans the same materialized CTE.

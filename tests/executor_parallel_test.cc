@@ -1,8 +1,9 @@
 // Unit tests for the parallel + vectorized execution subsystem: the
 // thread pool itself (including nested fan-out from inside pool tasks),
 // partition/morsel boundary edge cases on every partitionable scan,
-// interior-operator parallelism (UNION children, hash-join probe,
-// hash-aggregate partials, the EXCEPT minuend probe) with its edge cases,
+// interior-operator edge cases (UNION arms drained concurrently; hash
+// join, hash aggregate and EXCEPT over plain tables and over CTEs whose
+// bodies fan out beneath them),
 // RowBatch/NextBatch semantics (batch boundaries at partition edges,
 // empty morsels, capacity-1 batches, mid-batch timeouts,
 // lowest-index error selection under nested fan-out),
@@ -10,9 +11,12 @@
 // a parallel scan is in flight.
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,128 +34,56 @@ namespace {
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      (void)pool.Submit([&counter] { ++counter; });
-    }
-    // Destructor joins only after every queued task ran.
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<void> f =
-      pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesExceptionAfterBarrier) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  bool caught = false;
-  try {
-    pool.ParallelFor(8, [&completed](size_t i) {
-      if (i == 3) throw std::runtime_error("partition 3");
-      ++completed;
-    });
-  } catch (const ParallelForTaskError& e) {
-    caught = true;
-    // The wrapper names the failing task and carries the original message;
-    // the original exception is recoverable as the nested exception.
-    EXPECT_EQ(e.task_index(), 3u);
-    EXPECT_NE(std::string(e.what()).find("parallel task 3 failed"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("partition 3"), std::string::npos)
-        << e.what();
-    EXPECT_THROW(std::rethrow_if_nested(e), std::runtime_error);
-  }
-  EXPECT_TRUE(caught);
-  // Every non-throwing task still ran to completion before the rethrow.
-  EXPECT_EQ(completed.load(), 7);
-}
-
-TEST(ThreadPoolTest, ParallelForFirstFailureByIndexIsDeterministic) {
-  // When several tasks throw, the barrier always rethrows the lowest
-  // index regardless of scheduling order.
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    try {
-      pool.ParallelFor(16, [](size_t i) {
-        throw std::runtime_error("task " + std::to_string(i));
-      });
-      FAIL() << "expected a ParallelForTaskError";
-    } catch (const ParallelForTaskError& e) {
-      EXPECT_EQ(e.task_index(), 0u) << e.what();
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForWrapsNonStdExceptions) {
-  ThreadPool pool(2);
-  try {
-    pool.ParallelFor(2, [](size_t i) {
-      if (i == 1) throw 42;  // not a std::exception
-    });
-    FAIL() << "expected a ParallelForTaskError";
-  } catch (const ParallelForTaskError& e) {
-    EXPECT_EQ(e.task_index(), 1u);
-    EXPECT_NE(std::string(e.what()).find("unknown exception"),
-              std::string::npos)
-        << e.what();
+  std::vector<std::atomic<int>> runs(100);
+  pool.ParallelFor(runs.size(), pool.size() + 1,
+                   [&runs](size_t i) { ++runs[i]; });
+  // ParallelFor returns only after every index ran, each exactly once.
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
+  std::atomic<int> ran{0};
+  pool.ParallelFor(3, 2, [&ran](size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsOnAtMostMaxThreads) {
+  // RunWorkers passes a query's num_threads as the cap: the database's
+  // pool only grows, so without it a 2-thread query that follows an
+  // 8-thread one would run on all 8 workers plus the caller.
+  ThreadPool pool(4);
+  for (size_t max_threads : {size_t{1}, size_t{2}}) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    pool.ParallelFor(64, max_threads, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), max_threads) << "max_threads=" << max_threads;
+    if (max_threads == 1) {
+      EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);  // caller only
+    }
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Interior operators fan out from inside pool tasks; without the
+  // UNION arms and CTE bodies fan out from inside pool tasks; without the
   // help-running caller this would deadlock as soon as every worker is
   // occupied by an outer task. A 1-thread pool is the worst case.
   for (size_t pool_size : {size_t{1}, size_t{2}}) {
     ThreadPool pool(pool_size);
     std::atomic<int> inner_runs{0};
-    pool.ParallelFor(4, [&pool, &inner_runs](size_t) {
-      pool.ParallelFor(4, [&inner_runs](size_t) { ++inner_runs; });
+    const size_t max_threads = pool_size + 1;  // every worker + caller
+    pool.ParallelFor(4, max_threads, [&](size_t) {
+      pool.ParallelFor(4, max_threads, [&inner_runs](size_t) { ++inner_runs; });
     });
     EXPECT_EQ(inner_runs.load(), 16) << "pool_size=" << pool_size;
   }
-}
-
-TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(2,
-                                [&pool](size_t) {
-                                  pool.ParallelFor(2, [](size_t j) {
-                                    if (j == 1) {
-                                      throw std::runtime_error("inner");
-                                    }
-                                  });
-                                }),
-               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,8 +254,20 @@ TEST(PartitionBoundaryTest, FilterAndProjectPartitionWithScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Interior operators: UNION / hash join / hash aggregate edge cases
+// Interior operators: UNION / hash join / hash aggregate / EXCEPT edge cases
 // ---------------------------------------------------------------------------
+
+// Adds the build-side table names(v, name) with one row per v in [0, 4).
+void AddNamesTable(Database* db) {
+  Schema schema({{"v", DataType::kInt}, {"name", DataType::kString}});
+  ASSERT_TRUE(db->CreateTable("names", std::move(schema)).ok());
+  const char* names[] = {"zero", "one", "two", "three"};
+  for (int v = 0; v < 4; ++v) {
+    ASSERT_TRUE(
+        db->Insert("names", Row{Value::Int(v), Value::String(names[v])}).ok());
+  }
+  ASSERT_TRUE(db->Analyze().ok());
+}
 
 // Runs `sql` serially and at num_threads {2, 4, 8}; the parallel runs must
 // reproduce the serial rows, row order and ExecStats totals exactly.
@@ -362,8 +306,9 @@ TEST(InteriorOperatorTest, UnionWithEmptyBranch) {
 
 TEST(InteriorOperatorTest, UnionDedupUnderThreadsIsFirstOccurrence) {
   // Projecting 5000 rows onto val ∈ [0, 7) makes every arm duplicate-heavy;
-  // the concurrent dedup set must keep exactly the serial first occurrence
-  // of each distinct row, in serial order.
+  // the arms drain concurrently, and the dedup after the barrier must keep
+  // exactly the serial first occurrence of each distinct row, in serial
+  // order.
   auto db = MakeTable(5000);
   ExpectParallelMatchesSerial(
       db.get(),
@@ -383,21 +328,27 @@ TEST(InteriorOperatorTest, HashJoinZeroRowProbeSide) {
       db.get(), "SELECT * FROM e, t WHERE e.id = t.id");
   ExpectParallelMatchesSerial(
       db.get(), "SELECT * FROM t, e WHERE t.id = e.id");
+  // The Sieve plan shape: the probe side is a CTE whose body fans out over
+  // 6000 rows and yields none; the join consumes it serially.
+  auto big = MakeTable(6000);
+  ExpectParallelMatchesSerial(big.get(),
+                              "WITH p AS (SELECT * FROM t WHERE val > 100) "
+                              "SELECT * FROM p, t WHERE p.id = t.id");
 }
 
-TEST(InteriorOperatorTest, HashJoinParallelProbeMatchesSerial) {
+TEST(InteriorOperatorTest, HashJoinKeepsProbeAndMatchOrder) {
   auto db = MakeTable(2000, {10, 999});
-  Schema schema({{"v", DataType::kInt}, {"name", DataType::kString}});
-  ASSERT_TRUE(db->CreateTable("names", std::move(schema)).ok());
-  const char* names[] = {"zero", "one", "two", "three"};
-  for (int v = 0; v < 4; ++v) {
-    ASSERT_TRUE(
-        db->Insert("names", Row{Value::Int(v), Value::String(names[v])}).ok());
-  }
-  ASSERT_TRUE(db->Analyze().ok());
+  AddNamesTable(db.get());
   // Multiple probe rows share each build key; match order must survive.
   ExpectParallelMatchesSerial(
       db.get(), "SELECT t.id, names.name FROM t, names WHERE t.val = names.v");
+  // The Sieve plan shape: the probe side is a CTE whose body fans out.
+  auto big = MakeTable(6000, {10, 4999});
+  AddNamesTable(big.get());
+  ExpectParallelMatchesSerial(
+      big.get(),
+      "WITH p AS (SELECT * FROM t WHERE val < 5) "
+      "SELECT p.id, names.name FROM p, names WHERE p.val = names.v");
 }
 
 TEST(InteriorOperatorTest, AggregateSingleGroup) {
@@ -406,12 +357,20 @@ TEST(InteriorOperatorTest, AggregateSingleGroup) {
       db.get(),
       "SELECT val, COUNT(*) AS n, SUM(id) AS s, MIN(id) AS mn, "
       "MAX(id) AS mx, AVG(id) AS av FROM t WHERE val = 3 GROUP BY val");
+  // The Sieve plan shape: the aggregate reads a CTE whose body fans out.
+  auto big = MakeTable(6000);
+  ExpectParallelMatchesSerial(
+      big.get(),
+      "WITH p AS (SELECT * FROM t WHERE val = 3) "
+      "SELECT val, COUNT(*) AS n, SUM(id) AS s, MIN(id) AS mn, "
+      "MAX(id) AS mx, AVG(id) AS av FROM p GROUP BY val");
 }
 
 TEST(InteriorOperatorTest, AggregateEmptyInput) {
   auto db = MakeTable(500);
   // Global aggregate over zero rows still yields one row (COUNT = 0,
-  // SUM/MIN/MAX/AVG NULL) — also under partial-state merge.
+  // SUM/MIN/MAX/AVG NULL) — also when that input is a CTE whose body
+  // fans out.
   ExpectParallelMatchesSerial(
       db.get(),
       "SELECT COUNT(*) AS n, SUM(val) AS s, MIN(val) AS mn, "
@@ -420,14 +379,26 @@ TEST(InteriorOperatorTest, AggregateEmptyInput) {
   ExpectParallelMatchesSerial(
       db.get(),
       "SELECT val, COUNT(*) AS n FROM t WHERE val > 100 GROUP BY val");
+  auto big = MakeTable(6000);
+  ExpectParallelMatchesSerial(
+      big.get(),
+      "WITH p AS (SELECT * FROM t WHERE val > 100) "
+      "SELECT COUNT(*) AS n, SUM(val) AS s, MIN(val) AS mn, "
+      "MAX(val) AS mx, AVG(val) AS av FROM p");
 }
 
-TEST(InteriorOperatorTest, AggregateManyGroupsAcrossPartitions) {
+TEST(InteriorOperatorTest, AggregateManyGroupsMatchesSerial) {
   auto db = MakeTable(5000, {3, 4444});
   ExpectParallelMatchesSerial(
       db.get(),
       "SELECT val, COUNT(*) AS n, SUM(id) AS s, MIN(id) AS mn, "
       "MAX(id) AS mx, AVG(id) AS av FROM t GROUP BY val");
+  // The Sieve plan shape: the aggregate reads a CTE whose body fans out.
+  ExpectParallelMatchesSerial(
+      db.get(),
+      "WITH p AS (SELECT * FROM t WHERE val < 6) "
+      "SELECT val, COUNT(*) AS n, SUM(id) AS s, MIN(id) AS mn, "
+      "MAX(id) AS mx, AVG(id) AS av FROM p GROUP BY val");
 }
 
 TEST(InteriorOperatorTest, CteMaterializesOnceAcrossWorkers) {
@@ -825,9 +796,8 @@ TEST(BatchExecutionTest, NestedFanOutReportsFirstArmError) {
   }
 }
 
-TEST(InteriorOperatorTest, ExceptParallelProbeMatchesSerial) {
-  // Large enough (> one morsel of rows) that the minuend really
-  // partitions; duplicate-heavy projection so the distinct merge works.
+TEST(InteriorOperatorTest, ExceptKeepsFirstOccurrences) {
+  // Duplicate-heavy projections, so the distinct filter works.
   auto db = MakeTable(6000, {17, 4242});
   ExpectParallelMatchesSerial(
       db.get(),
@@ -842,12 +812,18 @@ TEST(InteriorOperatorTest, ExceptParallelProbeMatchesSerial) {
   ExpectParallelMatchesSerial(
       db.get(),
       "SELECT * FROM t WHERE val = 1 EXCEPT SELECT * FROM t WHERE id < 0");
+  // The Sieve plan shape: the minuend is a CTE whose body fans out over
+  // more than one morsel of rows.
+  ExpectParallelMatchesSerial(
+      db.get(),
+      "WITH p AS (SELECT * FROM t WHERE val < 6) "
+      "SELECT val FROM p EXCEPT SELECT val FROM t WHERE val > 3");
 }
 
 TEST(BatchExecutionTest, AggregateOutputSpansManyBatches) {
   // One group per live id: HashAggregate's NextBatch must serve far more
   // groups than one batch holds, resuming exactly where the last batch
-  // stopped, serially and after the parallel partial-aggregate merge.
+  // stopped, at every thread count.
   auto db = MakeTable(3000, {5, 2999});
   const char* sql = "SELECT id, COUNT(*) AS n FROM t GROUP BY id";
   auto reference = db->ExecuteSql(sql, nullptr, 0.0, 1, 1);

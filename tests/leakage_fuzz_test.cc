@@ -240,13 +240,23 @@ TEST(LeakageFuzz, Campus) {
       QueryMetadata md{querier, purposes[rng.Uniform(0, 2)]};
       CheckRowLevelPermission(run, campus.db(), "wifi", md, &campus.groups(),
                               "campus");
+      const std::string where =
+          StrFormat("wifiAP <= %lld AND ts_time >= '%02d:00'",
+                    (long long)rng.Uniform(0, 5),
+                    static_cast<int>(rng.Uniform(6, 14)));
+      CheckReferenceAndSubset(run, campus.db(),
+                              "SELECT * FROM wifi WHERE " + where, md,
+                              "campus");
+      // Derived-table shapes: the predicate inside and outside the
+      // derived table.
       CheckReferenceAndSubset(
           run, campus.db(),
-          StrFormat("SELECT * FROM wifi WHERE wifiAP <= %lld AND ts_time >= "
-                    "'%02d:00'",
-                    (long long)rng.Uniform(0, 5),
-                    static_cast<int>(rng.Uniform(6, 14))),
-          md, "campus");
+          "SELECT * FROM (SELECT * FROM wifi WHERE " + where + ") AS d", md,
+          "campus");
+      CheckReferenceAndSubset(
+          run, campus.db(),
+          "SELECT * FROM (SELECT * FROM wifi) AS d WHERE " + where, md,
+          "campus");
     }
     CheckDefaultDeny(run, "SELECT * FROM wifi", {"mallory", "any"}, "campus");
     CheckAuditAccounting(run, "campus");

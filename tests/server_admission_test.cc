@@ -124,6 +124,15 @@ TEST(ServerAdmissionTest, BystanderUnaffectedByRateLimitedSpammer) {
   auto c = h.Client("tok-alice");
   auto stmt = c->Prepare("SELECT COUNT(*) FROM wifi WHERE owner = ?");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  // Start only once the server is rate-limiting the spammer: on a loaded
+  // host the bystander's queries could otherwise all finish before the
+  // spammer thread completes its first attempt.
+  const auto limited_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (h.server().stats().rate_limited < 1 &&
+         std::chrono::steady_clock::now() < limited_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   double worst_ms = 0.0;
   for (int i = 0; i < 25; ++i) {
     auto t0 = std::chrono::steady_clock::now();

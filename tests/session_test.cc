@@ -1,8 +1,8 @@
 // Unit tests for the session-oriented middleware API: SieveSession /
 // PreparedQuery / ResultCursor, parameter binding edge cases, the
 // pull-validated rewrite cache (which mutations stale which snapshots),
-// LRU eviction, scalar-subquery and CTE-body enforcement and the validated
-// SieveOptions update path.
+// LRU eviction, scalar-subquery and CTE-body enforcement, the reference
+// oracle over derived tables and the validated SieveOptions update path.
 
 #include "sieve/session.h"
 
@@ -691,6 +691,30 @@ TEST_F(SessionTest, CteBodyOverProtectedTableIsDenied) {
   EXPECT_EQ(Fingerprints(*allowed), Fingerprints(*oracle));
   EXPECT_GT(allowed->size(), 0u);
   EXPECT_LT(allowed->size(), direct->size());
+}
+
+TEST_F(SessionTest, ReferenceOracleEnforcesDerivedTables) {
+  // Regression: ExecuteReference skipped derived tables, so the oracle read
+  // wifi unrestricted inside them (60, 400 and 300 rows for the first
+  // three queries) while the enforced path returned alice's rows.
+  const std::pair<const char*, size_t> cases[] = {
+      {"SELECT * FROM (SELECT * FROM wifi WHERE owner = 5) AS d", 0},
+      {"SELECT * FROM (SELECT * FROM wifi) AS d WHERE d.ts_time >= '10:00'",
+       65},
+      {"SELECT * FROM (SELECT * FROM wifi WHERE wifiAP <= 2) AS d", 45},
+      {"SELECT d.owner, a.building FROM (SELECT * FROM wifi WHERE wifiAP "
+       "<= 2) AS d, aps AS a WHERE d.wifiAP = a.ap",
+       45},
+  };
+  for (const auto& [sql, expected] : cases) {
+    auto enforced = sieve_.Execute(sql, md_);
+    ASSERT_TRUE(enforced.ok()) << sql << " -> "
+                               << enforced.status().ToString();
+    EXPECT_EQ(enforced->size(), expected) << sql;
+    auto oracle = sieve_.ExecuteReference(sql, md_);
+    ASSERT_TRUE(oracle.ok()) << sql << " -> " << oracle.status().ToString();
+    EXPECT_EQ(Fingerprints(*oracle), Fingerprints(*enforced)) << sql;
+  }
 }
 
 TEST_F(SessionTest, SubqueryTableTurningProtectedDeniesAcceptedQuery) {
