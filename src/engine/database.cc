@@ -78,16 +78,13 @@ Result<std::unique_ptr<QueryCursor>> Database::OpenCursor(
   // 0 = adaptive per-operator sizing (see EffectiveBatchSize); negatives
   // clamp to capacity-1 batches.
   ctx.batch_size = batch_size < 0 ? 1 : batch_size;
-  // One CTE cache per query, shared by every worker context so each CTE
-  // body materializes exactly once no matter which worker gets there first.
-  ctx.ctes = std::make_shared<CteCache>();
   if (num_threads > 1) {
     ctx.num_threads = num_threads;
     ctx.pool = EnsurePool(static_cast<size_t>(num_threads));
   }
   Optimizer optimizer(&catalog_, &profile_);
   SIEVE_ASSIGN_OR_RETURN(PlannedQuery plan, optimizer.Plan(stmt));
-  return QueryCursor::Open(std::move(plan.root), ctx);
+  return QueryCursor::Open(std::move(plan), ctx);
 }
 
 Result<ExplainInfo> Database::ExplainSql(const std::string& sql) {
@@ -220,7 +217,7 @@ Result<Value> Database::EvalScalarSubquery(const std::string& sql,
   ctx.hooks = this;
   ctx.metadata = metadata;
   ctx.stats = stats;
-  SIEVE_ASSIGN_OR_RETURN(ResultSet result, Executor::Run(plan.root.get(), &ctx));
+  SIEVE_ASSIGN_OR_RETURN(ResultSet result, Executor::Run(&plan, &ctx));
   if (result.rows.empty()) return Value::Null();
   if (result.schema.num_columns() != 1) {
     return Status::ExecutionError(

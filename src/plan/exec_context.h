@@ -3,11 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,83 +18,30 @@
 
 namespace sieve {
 
-/// Fully evaluated intermediate result (CTE bodies, subquery scans).
+/// Fully evaluated intermediate result (CTE bodies, derived tables, the
+/// nested-loop inner side).
 struct MaterializedResult {
   Schema schema;
   std::vector<Row> rows;
 };
 
-/// One materialize-once slot: the first caller's producer runs under
-/// std::call_once; the outcome — result or error — is cached for every
-/// later caller (a failed production fails all consumers, matching the
-/// serial behavior of one failing materialization failing the query).
-/// Concurrent callers block until the producer finishes; the produced
-/// result is immutable and address-stable afterwards, so readers need no
-/// further locking. Because a blocked caller does not help run pool
-/// tasks, producers must not depend on their own slot — the two users
-/// (CTE keys, which form a DAG by construction, and per-CreatePartitions
-/// shared scans) cannot cycle.
-struct OnceMaterialized {
-  using Producer = std::function<Status(MaterializedResult*)>;
-
-  Result<const MaterializedResult*> GetOrProduce(const Producer& produce) {
-    std::call_once(once, [this, &produce] { status = produce(&result); });
-    SIEVE_RETURN_IF_ERROR(status);
-    return static_cast<const MaterializedResult*>(&result);
-  }
-
-  std::once_flag once;
-  Status status = Status::OK();
-  MaterializedResult result;
-};
-
-/// Thread-safe materialize-once cache of named CTE results, shared by the
-/// root ExecContext and every worker context of one query.
-///
-/// Threading contract: GetOrMaterialize may be called concurrently from
-/// any number of workers. The producer for a given key runs exactly once
-/// across the whole query; concurrent callers for the same key block
-/// until it finishes, callers for different keys proceed independently
-/// (per-key OnceMaterialized slots, see above).
-class CteCache {
- public:
-  using Producer = OnceMaterialized::Producer;
-
-  /// Returns the result for `key`, invoking `produce` at most once per key
-  /// across all threads of the query.
-  Result<const MaterializedResult*> GetOrMaterialize(const std::string& key,
-                                                     const Producer& produce) {
-    OnceMaterialized* entry;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      std::unique_ptr<OnceMaterialized>& slot = entries_[key];
-      if (slot == nullptr) slot = std::make_unique<OnceMaterialized>();
-      entry = slot.get();
-    }
-    return entry->GetOrProduce(produce);
-  }
-
- private:
-  std::mutex mu_;
-  // unique_ptr entries: addresses stay stable while the map grows.
-  std::map<std::string, std::unique_ptr<OnceMaterialized>> entries_;
-};
-
 /// Per-query execution state threaded through every operator: catalog and
 /// engine hooks, query metadata (for the Δ UDF), stat counters, the timeout
 /// budget (the paper's experiments use a 30 s timeout, reported as "TO"),
-/// the shared cache of materialized CTEs, and the partition-parallelism
-/// knobs.
+/// and the partition-parallelism knobs.
 ///
 /// Parallel execution fans work out at two points, both sharing one
-/// ThreadPool: Executor::Materialize splits partitionable pipelines
+/// ThreadPool: Executor::Materialize splits opened partitionable pipelines
 /// (every policy-filtered CTE body is one) into morsels, and
 /// UnionOperator drains its arms concurrently from inside Open. Hash
-/// joins, aggregates and EXCEPT consume their inputs serially. Each unit
-/// of parallel work runs under its own worker ExecContext (own ExecStats
-/// and cancel flag, shared timer epoch and CTE cache); the workers' stats
-/// are merged back at the barrier, so the counters here are never mutated
-/// concurrently.
+/// joins, aggregates and EXCEPT consume their inputs serially. Shared
+/// inputs are resolved once, before anything fans out over them: CTE rows
+/// before the query root opens, and index probes, derived tables and the
+/// nested-loop inner side in the Open that precedes a split. Workers only
+/// read them. Each unit of parallel work runs under its own
+/// worker ExecContext (own ExecStats and cancel flag, shared timer epoch);
+/// the workers' stats are merged back at the barrier, so the counters here
+/// are never mutated concurrently.
 struct ExecContext {
   Catalog* catalog = nullptr;
   EngineHooks* hooks = nullptr;
@@ -107,15 +49,6 @@ struct ExecContext {
   ExecStats* stats = nullptr;
   double timeout_seconds = 0.0;  // 0 disables the timeout
   Timer timer;
-  /// Materialized CTE results, shared across all worker contexts of the
-  /// query so each CTE body runs (and is counted in ExecStats) exactly
-  /// once no matter which worker first references it. Created once at the
-  /// query root (Database::ExecuteStmt, or lazily by the first serial
-  /// Executor::Materialize / materialized-scan Open on bare contexts);
-  /// worker contexts share the root's cache, never allocate their own —
-  /// a fan-out therefore requires the cache to exist already, which
-  /// every pool-carrying context guarantees.
-  std::shared_ptr<CteCache> ctes;
 
   /// Rows per execution batch (Operator::NextBatch). The default is the
   /// vectorized fast path; 1 runs the same operators on capacity-1
@@ -162,13 +95,12 @@ struct ExecContext {
   }
 
   /// A context for one parallel worker: shares the read-only engine state,
-  /// the timeout epoch, the CTE cache and the thread pool, but gets its own
-  /// stat counters so accumulation is race-free, and its own cancel flag
-  /// chained to this context's. Keeping the pool lets nested fan-out
-  /// compose (a UNION child whose pipeline partitions, a CTE body
-  /// materialized from inside a worker); ThreadPool::ParallelFor's
-  /// help-running makes that reuse deadlock-free. The worker must not
-  /// outlive this context.
+  /// the timeout epoch and the thread pool, but gets its own stat counters
+  /// so accumulation is race-free, and its own cancel flag chained to this
+  /// context's. Keeping the pool lets nested fan-out compose (a UNION arm
+  /// whose pipeline partitions, a derived table materialized from inside
+  /// a worker); ThreadPool::ParallelFor's help-running makes that reuse
+  /// deadlock-free. The worker must not outlive this context.
   ExecContext MakeWorkerContext(ExecStats* worker_stats,
                                 std::atomic<bool>* cancel_flag) const {
     ExecContext worker;
@@ -178,7 +110,6 @@ struct ExecContext {
     worker.stats = worker_stats;
     worker.timeout_seconds = timeout_seconds;
     worker.timer = timer;  // same epoch: the deadline is shared
-    worker.ctes = ctes;    // shared: CTEs materialize once per query
     worker.batch_size = batch_size;
     worker.num_threads = num_threads;
     worker.pool = pool;

@@ -50,15 +50,11 @@ constexpr size_t kMorselsPerThread = 8;
 // inputs get fewer (down to one) morsels.
 constexpr size_t kMinMorselRows = kDefaultBatchSize;
 
-// Serial pull loop: opens `root` and drains it batch-at-a-time into
-// *schema / *rows (ctx->batch_size rows per NextBatch interpretation
-// pass).
-Status DrainSerial(Operator* root, ExecContext* ctx, Schema* schema,
-                   std::vector<Row>* rows) {
-  SIEVE_RETURN_IF_ERROR(root->Open(ctx));
-  *schema = root->schema();
+// Serial pull loop: drains the opened `root` batch-at-a-time into *rows
+// (ctx->batch_size rows per NextBatch interpretation pass).
+Status Pull(Operator* root, ExecContext* ctx, std::vector<Row>* rows) {
   RowBatch batch(
-      EffectiveBatchSize(ctx->batch_size, schema->num_columns()));
+      EffectiveBatchSize(ctx->batch_size, root->schema().num_columns()));
   while (true) {
     SIEVE_ASSIGN_OR_RETURN(bool has, root->NextBatch(ctx, &batch));
     if (!has) break;
@@ -73,22 +69,44 @@ Status DrainSerial(Operator* root, ExecContext* ctx, Schema* schema,
   return Status::OK();
 }
 
-// Drives one partition pipeline per RunWorkers task (see executor.h for
-// the worker-context / cancellation / error contract) and concatenates the
-// per-partition row buffers in partition order, so rows, row order and
-// stat totals are identical to a serial drain.
+// Opens `root` and, when the context is parallel and the opened pipeline
+// partitions, fills *parts with its morsel clones. Opening first resolves
+// the pipeline's shared input (index probe, derived table, nested-loop
+// inner side) once, on this thread; the clones borrow it and are sized
+// from its exact row count.
+Status OpenAndSplit(Operator* root, ExecContext* ctx,
+                    std::vector<OperatorPtr>* parts) {
+  SIEVE_RETURN_IF_ERROR(root->Open(ctx));
+  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
+    root->CreatePartitions(PlanPartitionCount(*root, *ctx), parts);
+  }
+  return Status::OK();
+}
+
+// Materializes the plan's CTEs in dependency order on the calling thread,
+// before the root opens: each body fans out with the query's full thread
+// budget, and every reference in the tree then reads finished rows.
+Status MaterializeCtes(PlannedQuery* plan, ExecContext* ctx) {
+  for (const std::unique_ptr<PlannedCte>& cte : plan->ctes) {
+    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
+        cte->body.get(), ctx, &cte->result.schema, &cte->result.rows));
+  }
+  return Status::OK();
+}
+
+// Opens and drives one partition clone per RunWorkers task (see
+// executor.h for the worker-context / cancellation / error contract) and
+// appends the per-partition row buffers in partition order, so rows, row
+// order and stat totals are identical to a serial drain.
 Status DrainPartitioned(const std::vector<OperatorPtr>& parts,
-                        ExecContext* ctx, Schema* schema,
-                        std::vector<Row>* rows) {
+                        ExecContext* ctx, std::vector<Row>* rows) {
   const size_t n = parts.size();
   std::vector<std::vector<Row>> worker_rows(n);
-  std::vector<Schema> worker_schemas(n);
   SIEVE_RETURN_IF_ERROR(
       RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
-        return DrainSerial(parts[i].get(), worker, &worker_schemas[i],
-                           &worker_rows[i]);
+        SIEVE_RETURN_IF_ERROR(parts[i]->Open(worker));
+        return Pull(parts[i].get(), worker, &worker_rows[i]);
       }));
-  *schema = worker_schemas.front();
   size_t total = 0;
   for (const auto& part_rows : worker_rows) total += part_rows.size();
   rows->reserve(rows->size() + total);
@@ -150,11 +168,10 @@ Status RunWorkers(ExecContext* ctx, size_t n,
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(error_mu);
       // Report the real failure, not a cancellation artifact: cancelled
-      // workers fail with Timeout at their next cooperative check, and a
-      // shared CTE slot can hand a cancelled producer's Timeout to a lower
-      // worker, so a non-timeout error always outranks a timeout; within
-      // the same class the lowest partition index wins (deterministic,
-      // like a serial drain).
+      // workers fail with Timeout at their next cooperative check, so a
+      // non-timeout error always outranks a timeout; within the same class
+      // the lowest partition index wins (deterministic, like a serial
+      // drain).
       bool take;
       if (first_error.ok()) {
         take = true;
@@ -182,42 +199,33 @@ Status RunWorkers(ExecContext* ctx, size_t n,
 }
 
 size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx) {
-  const size_t threads = static_cast<size_t>(ctx.num_threads);
-  const size_t rows = root.EstimatedPartitionRows();
-  // Unknown size: fall back to one static slice per worker (the dynamic
-  // claim queue still smooths *across* pipelines sharing the pool).
-  if (rows == Operator::kUnknownRows) return threads;
-  const size_t by_size = rows / kMinMorselRows;
+  const size_t by_size = root.PartitionRows() / kMinMorselRows;
   if (by_size <= 1) return 1;
-  return std::min(by_size, threads * kMorselsPerThread);
+  return std::min(by_size,
+                  static_cast<size_t>(ctx.num_threads) * kMorselsPerThread);
 }
 
-Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(OperatorPtr root,
+Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(PlannedQuery plan,
                                                        const ExecContext& base) {
   std::unique_ptr<QueryCursor> cursor(new QueryCursor());
-  cursor->root_ = std::move(root);
+  cursor->plan_ = std::move(plan);
   cursor->ctx_ = base;
   cursor->ctx_.stats = &cursor->stats_;
-  // Bare serial contexts may arrive without a CTE cache (see Materialize).
-  if (cursor->ctx_.ctes == nullptr) {
-    cursor->ctx_.ctes = std::make_shared<CteCache>();
-  }
   ExecContext* ctx = &cursor->ctx_;
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    // CreatePartitions contract: partition clones replace the original
-    // root, which must then never be opened itself.
-    std::vector<OperatorPtr> parts;
-    if (cursor->root_->CreatePartitions(
-            PlanPartitionCount(*cursor->root_, *ctx), &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(DrainPartitioned(parts, ctx, &cursor->schema_,
-                                             &cursor->buffered_));
-      cursor->partitioned_ = true;
-      return cursor;
-    }
+  Operator* root = cursor->plan_.root.get();
+  SIEVE_RETURN_IF_ERROR(MaterializeCtes(&cursor->plan_, ctx));
+  std::vector<OperatorPtr> parts;
+  SIEVE_RETURN_IF_ERROR(OpenAndSplit(root, ctx, &parts));
+  cursor->schema_ = root->schema();
+  if (!parts.empty()) {
+    SIEVE_RETURN_IF_ERROR(DrainPartitioned(parts, ctx, &cursor->buffered_));
+    cursor->partitioned_ = true;
+    // Every row is buffered: free the CTE rows and whatever the opened
+    // root resolved instead of holding them as long as the cursor.
+    parts.clear();
+    cursor->plan_ = PlannedQuery();
+    return cursor;
   }
-  SIEVE_RETURN_IF_ERROR(cursor->root_->Open(ctx));
-  cursor->schema_ = cursor->root_->schema();
   cursor->fetch_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, cursor->schema_.num_columns()));
   return cursor;
@@ -244,7 +252,7 @@ Result<bool> QueryCursor::Next(std::vector<Row>* batch, size_t max_rows) {
   } else {
     while (emitted < max_rows) {
       if (fetch_pos_ >= fetch_batch_.size()) {
-        auto has = root_->NextBatch(&ctx_, &fetch_batch_);
+        auto has = plan_.root->NextBatch(&ctx_, &fetch_batch_);
         if (!has.ok()) {
           error_ = has.status();
           done_ = true;
@@ -311,28 +319,19 @@ void QueryCursor::TightenDeadline(double seconds_from_now) {
 
 Status Executor::Materialize(Operator* root, ExecContext* ctx, Schema* schema,
                              std::vector<Row>* rows) {
-  // Bare serial contexts (tests, scalar subqueries) may arrive without a
-  // CTE cache; create it here. Parallel contexts got theirs at the query
-  // root — lazy creation after workers exist would split the cache.
-  if (ctx->ctes == nullptr) ctx->ctes = std::make_shared<CteCache>();
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    // Several morsels per worker, claimed dynamically from the pool's
-    // shared atomic counter (see MorselCount) — skewed morsels no longer
-    // pin a static slice to one thread.
-    std::vector<OperatorPtr> parts;
-    if (root->CreatePartitions(PlanPartitionCount(*root, *ctx), &parts) &&
-        !parts.empty()) {
-      return DrainPartitioned(parts, ctx, schema, rows);
-    }
-  }
-  return DrainSerial(root, ctx, schema, rows);
+  std::vector<OperatorPtr> parts;
+  SIEVE_RETURN_IF_ERROR(OpenAndSplit(root, ctx, &parts));
+  *schema = root->schema();
+  if (!parts.empty()) return DrainPartitioned(parts, ctx, rows);
+  return Pull(root, ctx, rows);
 }
 
-Result<ResultSet> Executor::Run(Operator* root, ExecContext* ctx) {
+Result<ResultSet> Executor::Run(PlannedQuery* plan, ExecContext* ctx) {
   Timer timer;
   ResultSet result;
+  SIEVE_RETURN_IF_ERROR(MaterializeCtes(plan, ctx));
   SIEVE_RETURN_IF_ERROR(
-      Materialize(root, ctx, &result.schema, &result.rows));
+      Materialize(plan->root.get(), ctx, &result.schema, &result.rows));
   if (ctx->stats != nullptr) {
     ctx->stats->rows_output += result.rows.size();
     result.stats = *ctx->stats;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "plan/operators.h"
+#include "plan/optimizer.h"
 
 namespace sieve {
 
@@ -27,8 +28,8 @@ struct ResultSet {
 /// ctx->num_threads threads (the caller included) however large the pool
 /// is: body(i, worker) runs under a private worker context — own
 /// ExecStats (merged into ctx->stats at the barrier; partial work is
-/// counted even on failure), shared timeout epoch, CTE cache and pool,
-/// and its own cancel flag. A failure in worker
+/// counted even on failure), shared timeout epoch and pool, and its own
+/// cancel flag. A failure in worker
 /// i cancels only workers i+1..n-1, so they stop at their next cooperative
 /// check while every lower worker still runs to its own outcome; a worker
 /// also stops when an enclosing fan-out cancels the worker that called
@@ -41,18 +42,18 @@ struct ResultSet {
 Status RunWorkers(ExecContext* ctx, size_t n,
                   const std::function<Status(size_t, ExecContext*)>& body);
 
-/// Number of partition morsels a parallel drain should split `root`
-/// into: several per worker thread (capped so each morsel covers at least
-/// ~a batch of rows), handed out dynamically through ThreadPool::
+/// Number of partition morsels a parallel drain should split the opened
+/// `root` into: several per worker thread (capped so each morsel covers at
+/// least ~a batch of rows), handed out dynamically through ThreadPool::
 /// ParallelFor's shared atomic claim counter. A skewed guard branch or a
 /// highly selective filter then occupies one thread for one morsel at a
 /// time instead of pinning a whole static 1/num_threads slice to it while
-/// the other workers idle. Sizing uses Operator::EstimatedPartitionRows;
-/// a subtree that cannot size itself before Open (a not-yet-materialized
-/// CTE) gets one static slice per worker, and tiny inputs collapse to a
-/// single morsel instead of paying dozens of near-empty clone Opens.
-/// Morsels are contiguous slices stitched back in source order, so rows,
-/// row order and ExecStats stay identical to a serial run at any count.
+/// the other workers idle. Sizing uses Operator::PartitionRows, exact
+/// once `root` is open (an index probe of 5 rows is one morsel, whatever
+/// the table's size), and tiny inputs collapse to a single morsel instead
+/// of paying dozens of near-empty clone Opens. Morsels are contiguous
+/// slices stitched back in source order, so rows, row order and ExecStats
+/// stay identical to a serial run at any count.
 size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx);
 
 /// Incremental (pull-based) execution of one planned query: rows are
@@ -60,13 +61,13 @@ size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx);
 /// result up front. This is what backs the session API's ResultCursor.
 ///
 /// Serial execution streams: each Next call pulls at most `max_rows` rows
-/// from the operator tree, so the peak footprint is one batch (plus
-/// whatever blocking operators buffer internally). Partition-parallel
-/// execution reuses the partition machinery wholesale: when the pipeline
-/// supports Operator::CreatePartitions, Open drains all partitions on the
-/// pool (exactly like Executor::Materialize) and Next serves slices of the
-/// buffer — rows, row order and ExecStats totals stay identical to a
-/// serial drain either way.
+/// from the operator tree, so the peak footprint is one batch (plus the
+/// materialized CTEs and whatever blocking operators buffer internally).
+/// Partition-parallel execution reuses the partition machinery wholesale:
+/// when the opened pipeline supports Operator::CreatePartitions, Open
+/// drains all partitions on the pool (exactly like Executor::Materialize)
+/// and Next serves slices of the buffer — rows, row order and ExecStats
+/// totals stay identical to a serial drain either way.
 ///
 /// The timeout clock starts at Open and keeps running between Next calls;
 /// a cursor held open counts against the query's budget. Stats() totals
@@ -75,12 +76,13 @@ size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx);
 /// cursor's own counters).
 class QueryCursor {
  public:
-  /// Takes ownership of the plan root; `base` supplies catalog/hooks/
+  /// Takes ownership of the plan; `base` supplies catalog/hooks/
   /// metadata/timeout/parallelism (its `stats` pointer is ignored — the
-  /// cursor accumulates into its own counters). Opens the plan: blocking
-  /// work (CTE materialization, hash builds, parallel partition drains)
-  /// happens here.
-  static Result<std::unique_ptr<QueryCursor>> Open(OperatorPtr root,
+  /// cursor accumulates into its own counters). Materializes the plan's
+  /// CTEs in order, then opens the root: blocking work (CTE
+  /// materialization, hash builds, parallel partition drains) happens
+  /// here.
+  static Result<std::unique_ptr<QueryCursor>> Open(PlannedQuery plan,
                                                    const ExecContext& base);
 
   QueryCursor(const QueryCursor&) = delete;
@@ -119,7 +121,7 @@ class QueryCursor {
  private:
   QueryCursor() = default;
 
-  OperatorPtr root_;
+  PlannedQuery plan_;
   ExecContext ctx_;
   ExecStats stats_;
   Schema schema_;
@@ -140,19 +142,20 @@ class QueryCursor {
 /// Pulls a plan to completion under the ExecContext's timeout.
 class Executor {
  public:
-  static Result<ResultSet> Run(Operator* root, ExecContext* ctx);
+  /// Materializes `plan`'s CTEs in order, then drains its root.
+  static Result<ResultSet> Run(PlannedQuery* plan, ExecContext* ctx);
 
-  /// Drains `root` to completion into *schema / *rows. When
-  /// ctx->num_threads > 1, ctx->pool is set and the pipeline supports
-  /// partitioning (Operator::CreatePartitions), the partitions run on the
-  /// pool under per-worker contexts; per-worker ExecStats are merged into
-  /// ctx->stats at the barrier and the per-partition row vectors are
-  /// concatenated in partition order, so rows, row order and stat totals
-  /// are identical to a serial run. Falls back to a serial pull otherwise;
-  /// the subtree's own materializations (CTE and derived-table scans, the
-  /// nested-loop inner side) still come back through this function and
-  /// fan out there, and a UNION drains its arms concurrently (see the
-  /// threading contract in plan/operators.h).
+  /// Opens `root` and drains it to completion into *schema / *rows. When
+  /// ctx->num_threads > 1, ctx->pool is set and the opened pipeline
+  /// supports partitioning (Operator::CreatePartitions), the partitions
+  /// run on the pool under per-worker contexts; per-worker ExecStats are
+  /// merged into ctx->stats at the barrier and the per-partition row
+  /// vectors are concatenated in partition order, so rows, row order and
+  /// stat totals are identical to a serial run. Falls back to a serial
+  /// pull otherwise; the subtree's own materializations (derived-table
+  /// scans, the nested-loop inner side) still come back through this
+  /// function from their Open and fan out there, and a UNION drains its
+  /// arms concurrently (see the threading contract in plan/operators.h).
   static Status Materialize(Operator* root, ExecContext* ctx, Schema* schema,
                             std::vector<Row>* rows);
 };

@@ -147,28 +147,17 @@ NestedLoopJoinOperator::NestedLoopJoinOperator(OperatorPtr left,
     : left_(std::move(left)), right_(std::move(right)) {}
 
 NestedLoopJoinOperator::NestedLoopJoinOperator(
-    OperatorPtr left, std::shared_ptr<SharedRight> shared)
-    : left_(std::move(left)), shared_(std::move(shared)) {}
+    OperatorPtr left, const MaterializedResult* right)
+    : left_(std::move(left)), inner_(right) {}
 
 Status NestedLoopJoinOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
-  // The right side materializes exactly once: partition clones share one
-  // slot (the first opener drives the producer, everyone reads the result),
-  // the unpartitioned operator materializes privately.
-  Operator* producer = shared_ != nullptr ? shared_->producer : right_.get();
-  auto produce = [producer, ctx](MaterializedResult* out) -> Status {
-    return Executor::Materialize(producer, ctx, &out->schema, &out->rows);
-  };
-  const MaterializedResult* result = nullptr;
-  if (shared_ != nullptr) {
-    SIEVE_ASSIGN_OR_RETURN(result, shared_->slot.GetOrProduce(produce));
-  } else {
-    private_right_ = MaterializedResult();
-    SIEVE_RETURN_IF_ERROR(produce(&private_right_));
-    result = &private_right_;
+  if (right_ != nullptr) {  // partition clones borrow the parent's rows
+    right_result_ = MaterializedResult();
+    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
+        right_.get(), ctx, &right_result_.schema, &right_result_.rows));
   }
-  right_rows_ = &result->rows;
-  schema_ = ConcatSchemas(left_->schema(), result->schema);
+  schema_ = ConcatSchemas(left_->schema(), inner_->schema);
   left_valid_ = false;
   right_pos_ = 0;
   left_batch_.reset(
@@ -180,6 +169,7 @@ Status NestedLoopJoinOperator::Open(ExecContext* ctx) {
 Result<bool> NestedLoopJoinOperator::NextBatch(ExecContext* ctx,
                                                RowBatch* out) {
   out->clear();
+  const std::vector<Row>& right_rows = inner_->rows;
   while (!out->full()) {
     if (!left_valid_) {
       if (left_pos_ >= left_batch_.size()) {
@@ -192,11 +182,11 @@ Result<bool> NestedLoopJoinOperator::NextBatch(ExecContext* ctx,
       left_valid_ = true;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_->size() && !out->full()) {
-      const Row& right_row = (*right_rows_)[right_pos_++];
+    while (right_pos_ < right_rows.size() && !out->full()) {
+      const Row& right_row = right_rows[right_pos_++];
       Row o;
       o.reserve(current_left_.size() + right_row.size());
-      if (right_pos_ == right_rows_->size()) {
+      if (right_pos_ == right_rows.size()) {
         // Last right row for this outer row: steal the outer cells.
         for (Value& v : current_left_) o.push_back(std::move(v));
       } else {
@@ -205,22 +195,18 @@ Result<bool> NestedLoopJoinOperator::NextBatch(ExecContext* ctx,
       o.insert(o.end(), right_row.begin(), right_row.end());
       out->PushRow(std::move(o));
     }
-    if (right_pos_ >= right_rows_->size()) left_valid_ = false;
+    if (right_pos_ >= right_rows.size()) left_valid_ = false;
   }
   return !out->empty();
 }
 
 bool NestedLoopJoinOperator::CreatePartitions(
     size_t num_parts, std::vector<OperatorPtr>* out) const {
-  // Only the original operator partitions (clones have no right subtree).
-  if (right_ == nullptr) return false;
   std::vector<OperatorPtr> left_parts;
   if (!left_->CreatePartitions(num_parts, &left_parts)) return false;
-  auto shared = std::make_shared<SharedRight>();
-  shared->producer = right_.get();
   for (auto& part : left_parts) {
     out->push_back(
-        OperatorPtr(new NestedLoopJoinOperator(std::move(part), shared)));
+        OperatorPtr(new NestedLoopJoinOperator(std::move(part), inner_)));
   }
   return true;
 }

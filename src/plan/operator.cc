@@ -368,88 +368,69 @@ Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
 // MaterializedScanOperator
 // ---------------------------------------------------------------------------
 
-MaterializedScanOperator::MaterializedScanOperator(std::string cache_key,
-                                                   std::string qualifier,
+MaterializedScanOperator::MaterializedScanOperator(const PlannedCte* cte,
+                                                   std::string qualifier)
+    : label_(cte->name),
+      qualifier_(std::move(qualifier)),
+      source_(&cte->result) {}
+
+MaterializedScanOperator::MaterializedScanOperator(std::string qualifier,
                                                    OperatorPtr child)
-    : cache_key_(std::move(cache_key)),
+    : label_("derived"),
       qualifier_(std::move(qualifier)),
       child_(std::move(child)) {}
 
 MaterializedScanOperator::MaterializedScanOperator(
-    std::string cache_key, std::string qualifier,
-    std::shared_ptr<SharedMaterialization> shared, size_t part,
-    size_t num_parts)
-    : cache_key_(std::move(cache_key)),
+    std::string label, std::string qualifier, const MaterializedResult* source,
+    size_t begin, size_t end)
+    : label_(std::move(label)),
       qualifier_(std::move(qualifier)),
-      shared_(std::move(shared)),
-      part_(part),
-      num_parts_(num_parts) {}
+      source_(source),
+      slice_begin_(begin),
+      slice_end_(end) {}
 
 Status MaterializedScanOperator::Open(ExecContext* ctx) {
-  // This materialization is the hot loop of the Sieve rewrite: the CTE body
-  // evaluates guards and the Δ operator over the base table.
-  // Executor::Materialize fans it out across partitions when the context
-  // enables parallelism, and the CteCache / call_once below make it run
-  // exactly once per query no matter which worker opens first.
-  Operator* producer = shared_ != nullptr ? shared_->producer : child_.get();
-  auto produce = [producer, ctx, this](MaterializedResult* out) -> Status {
-    if (producer == nullptr) {
-      return Status::Internal("materialized scan has no producer for " +
-                              cache_key_);
-    }
-    return Executor::Materialize(producer, ctx, &out->schema, &out->rows);
-  };
-
-  const MaterializedResult* result = nullptr;
-  if (!cache_key_.empty()) {
-    // Bare serial contexts may open a scan directly without going through
-    // Executor::Materialize; parallel contexts always carry the shared
-    // query-root cache already.
-    if (ctx->ctes == nullptr) ctx->ctes = std::make_shared<CteCache>();
-    SIEVE_ASSIGN_OR_RETURN(result,
-                           ctx->ctes->GetOrMaterialize(cache_key_, produce));
-  } else if (shared_ != nullptr) {
-    // Derived table shared by partition clones: the first opener drives the
-    // producer, everyone slices the shared rows.
-    SIEVE_ASSIGN_OR_RETURN(result, shared_->slot.GetOrProduce(produce));
-  } else {
-    private_result_ = MaterializedResult();
-    SIEVE_RETURN_IF_ERROR(produce(&private_result_));
-    result = &private_result_;
+  if (child_ != nullptr) {
+    // A derived table materializes here, fanning out through
+    // Executor::Materialize when the context enables parallelism. A CTE's
+    // rows are already there: the executor materialized every CTE before
+    // the query root opened.
+    derived_ = MaterializedResult();
+    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
+        child_.get(), ctx, &derived_.schema, &derived_.rows));
   }
-  rows_ = &result->rows;
-  schema_ = QualifySchema(result->schema, qualifier_);
-  PartitionSlice(rows_->size(), part_, num_parts_, &pos_, &end_);
+  schema_ = QualifySchema(source_->schema, qualifier_);
+  pos_ = slice_begin_;
+  end_ = std::min(slice_end_, source_->rows.size());
   return Status::OK();
 }
 
 Result<bool> MaterializedScanOperator::NextBatch(ExecContext* ctx,
                                                  RowBatch* out) {
   out->clear();
-  if (rows_ == nullptr || pos_ >= end_) return false;
+  if (pos_ >= end_) return false;
   SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
   while (pos_ < end_ && !out->full()) {
-    // Views, not copies: the materialized result is shared, immutable and
-    // alive for the whole query, so the batch references it directly.
-    out->AppendExternalRow((*rows_)[pos_++]);
+    // Views, not copies: the materialized rows are immutable and alive for
+    // the whole query, so the batch references them directly.
+    out->AppendExternalRow(source_->rows[pos_++]);
   }
   return !out->empty();
 }
 
 bool MaterializedScanOperator::CreatePartitions(
     size_t num_parts, std::vector<OperatorPtr>* out) const {
-  auto shared = std::make_shared<SharedMaterialization>();
-  shared->producer = child_.get();
   for (size_t i = 0; i < num_parts; ++i) {
+    size_t begin = 0, end = 0;
+    PartitionSlice(source_->rows.size(), i, num_parts, &begin, &end);
     out->push_back(OperatorPtr(new MaterializedScanOperator(
-        cache_key_, qualifier_, shared, i, num_parts)));
+        label_, qualifier_, source_, begin, end)));
   }
   return true;
 }
 
 std::string MaterializedScanOperator::name() const {
-  return "MaterializedScan(" +
-         (cache_key_.empty() ? std::string("derived") : cache_key_) + ")";
+  return "MaterializedScan(" + label_ + ")";
 }
 
 }  // namespace sieve

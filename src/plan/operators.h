@@ -1,9 +1,7 @@
 #ifndef SIEVE_PLAN_OPERATORS_H_
 #define SIEVE_PLAN_OPERATORS_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -41,16 +39,23 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// Open and NextBatch are driven by a single thread per operator
 /// instance. Parallelism enters at two points, both preserving exact
 /// serial rows, row order and ExecStats totals:
-///   1. CreatePartitions (below) hands out clones that concurrent workers
-///      drive independently; the executor creates several morsels per
-///      worker and hands them out dynamically (see Executor::Materialize).
-///      Every materialization goes through it, so each policy-filtered CTE
-///      body fans out wherever the query consumes it.
+///   1. CreatePartitions (below) splits an opened pipeline into clones
+///      that concurrent workers drive independently; the executor creates
+///      several morsels per worker and hands them out dynamically (see
+///      Executor::Materialize). Every materialization goes through it, and
+///      the executor materializes each CTE before the query root opens,
+///      so each policy-filtered CTE body fans out with the query's full
+///      thread budget.
 ///   2. UnionOperator drains its arms concurrently from inside Open when
 ///      ctx->num_threads > 1, then dedups them on the calling thread.
 /// Every other operator consumes its inputs serially.
 class Operator {
  public:
+  Operator() = default;
+  // Plans hold operators by pointer, and some keep pointers into their own
+  // members (the input their Open resolved), so none is copied or moved.
+  Operator(const Operator&) = delete;
+  Operator& operator=(const Operator&) = delete;
   virtual ~Operator() = default;
 
   /// Prepares the operator for a full drain; binds expressions, opens
@@ -70,12 +75,13 @@ class Operator {
   /// where clone i produces exactly partition i's rows and concatenating
   /// partitions 0..num_parts-1 in order reproduces the serial row stream
   /// (so results, including row order, are identical to a serial run).
-  /// Clones may be opened and driven on concurrent threads. They share no
-  /// mutable state with each other or with this operator except
-  /// exactly-once seeding guarded by std::call_once (a shared index probe,
-  /// a shared CTE materialization); when partitioning succeeds the
-  /// original operator must not itself be opened. Returns false (leaving
-  /// *out untouched) when the subtree cannot be partitioned.
+  /// Called on an opened operator that is not itself a clone. The clones
+  /// borrow the input its Open resolved (probed row ids, materialized
+  /// rows, the nested-loop inner side), so this operator must outlive
+  /// them and must not be pulled itself. Clones may be opened and driven
+  /// on concurrent threads; they only read what they borrow. Returns
+  /// false (leaving *out untouched) when the subtree cannot be
+  /// partitioned.
   virtual bool CreatePartitions(size_t num_parts,
                                 std::vector<OperatorPtr>* out) const {
     (void)num_parts;
@@ -83,17 +89,12 @@ class Operator {
     return false;
   }
 
-  /// Sentinel for EstimatedPartitionRows: the subtree cannot size itself
-  /// before Open.
-  static constexpr size_t kUnknownRows = static_cast<size_t>(-1);
-
-  /// Best-effort row-count hint for partition planning: how many input
-  /// rows a partitioned drain of this subtree covers (an upper bound is
-  /// fine — leaf scans report table slots, filters forward their child's
-  /// hint). PlanPartitionCount uses it to size morsels so tiny inputs are
-  /// not split into dozens of near-empty clones; kUnknownRows (e.g. a
-  /// not-yet-materialized CTE) falls back to one static slice per worker.
-  virtual size_t EstimatedPartitionRows() const { return kUnknownRows; }
+  /// Rows a partitioned drain of this opened subtree slices: table slots
+  /// for a sequential scan, the probed row ids, the materialized rows;
+  /// filters, projections and the nested-loop join report their (outer)
+  /// child's. PlanPartitionCount sizes morsels from it, so tiny inputs are
+  /// not split into dozens of near-empty clones.
+  virtual size_t PartitionRows() const { return 0; }
 };
 
 /// Qualifies every column of `schema` with `qualifier` (stripping any
@@ -138,15 +139,6 @@ std::vector<SelectItem> CloneItems(const std::vector<SelectItem>& items);
 // Scans
 // ---------------------------------------------------------------------------
 
-/// Probe state shared by the partition clones of one index scan: the first
-/// partition to open runs the (single) index probe, the rest reuse its
-/// row-id list and each iterates a disjoint contiguous slice of it.
-struct SharedIndexProbe {
-  std::once_flag once;
-  Status status = Status::OK();
-  std::vector<RowId> row_ids;
-};
-
 /// Full table scan (counts tuples_scanned). Partition clones cover
 /// contiguous, disjoint slot ranges of the table.
 class SeqScanOperator : public Operator {
@@ -161,7 +153,7 @@ class SeqScanOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
-  size_t EstimatedPartitionRows() const override;
+  size_t PartitionRows() const override;
 
  private:
   SeqScanOperator(const TableEntry* entry, std::string qualifier,
@@ -186,38 +178,39 @@ struct IndexRange {
 };
 
 /// Common machinery for scans that fetch an explicit row-id list computed
-/// by an index probe: runs the probe at Open (partition clones share one
-/// probe through SharedIndexProbe and each fetch a disjoint contiguous
-/// slice of its row ids), then iterates live rows counting
-/// index_probe_rows. Subclasses supply the probe and the display name.
+/// by an index probe: Open runs the probe, then NextBatch fetches live
+/// rows in list order, counting index_probe_rows. Partition clones borrow
+/// the opened scan's row ids and each fetch a disjoint contiguous slice of
+/// them, so the probe runs once. Subclasses supply the probe, the display
+/// name and an unopened copy of themselves.
 class RowIdListScanOperator : public Operator {
  public:
   Status Open(ExecContext* ctx) override;
   /// Fetches a whole batch of row ids per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
-  /// Upper bound: the probe has not run yet, so report the table's slots.
-  size_t EstimatedPartitionRows() const override;
+  bool CreatePartitions(size_t num_parts,
+                        std::vector<OperatorPtr>* out) const override;
+  /// The number of row ids the probe returned.
+  size_t PartitionRows() const override { return ids_->size(); }
 
  protected:
-  RowIdListScanOperator(const TableEntry* entry, std::string qualifier,
-                        std::shared_ptr<SharedIndexProbe> shared, size_t part,
-                        size_t num_parts);
+  RowIdListScanOperator(const TableEntry* entry, std::string qualifier);
 
-  /// Computes the row ids to fetch; run once per scan (shared across the
-  /// partition clones of one CreatePartitions call).
+  /// Computes the row ids to fetch; run by Open of every scan but a clone.
   virtual Result<std::vector<RowId>> Probe() const = 0;
+  /// A fresh, unopened scan over the same index ranges.
+  virtual std::unique_ptr<RowIdListScanOperator> CloneUnopened() const = 0;
 
   const TableEntry* entry_;
   std::string qualifier_;
   Schema schema_;
 
  private:
-  std::shared_ptr<SharedIndexProbe> shared_;  // set only on partition clones
-  size_t part_ = 0;
-  size_t num_parts_ = 1;
-  std::vector<RowId> row_ids_;               // used when not partitioned
-  const std::vector<RowId>* ids_ = nullptr;  // row-id source for NextBatch
+  std::vector<RowId> row_ids_;                   // this scan's probe
+  const std::vector<RowId>* ids_ = &row_ids_;    // a clone: its parent's
+  size_t slice_begin_ = 0;                       // a clone's slice of *ids_
+  size_t slice_end_ = static_cast<size_t>(-1);
   size_t pos_ = 0;
   size_t end_ = 0;
 };
@@ -231,18 +224,12 @@ class IndexRangeScanOperator : public RowIdListScanOperator {
                          IndexRange range);
 
   std::string name() const override;
-  bool CreatePartitions(size_t num_parts,
-                        std::vector<OperatorPtr>* out) const override;
 
  protected:
   Result<std::vector<RowId>> Probe() const override;
+  std::unique_ptr<RowIdListScanOperator> CloneUnopened() const override;
 
  private:
-  IndexRangeScanOperator(const TableEntry* entry, std::string qualifier,
-                         IndexRange range,
-                         std::shared_ptr<SharedIndexProbe> shared, size_t part,
-                         size_t num_parts);
-
   IndexRange range_;
 };
 
@@ -255,42 +242,44 @@ class IndexUnionBitmapScanOperator : public RowIdListScanOperator {
                                std::vector<IndexRange> ranges);
 
   std::string name() const override;
-  bool CreatePartitions(size_t num_parts,
-                        std::vector<OperatorPtr>* out) const override;
 
  protected:
   Result<std::vector<RowId>> Probe() const override;
+  std::unique_ptr<RowIdListScanOperator> CloneUnopened() const override;
 
  private:
-  IndexUnionBitmapScanOperator(const TableEntry* entry, std::string qualifier,
-                               std::vector<IndexRange> ranges,
-                               std::shared_ptr<SharedIndexProbe> shared,
-                               size_t part, size_t num_parts);
-
   std::vector<IndexRange> ranges_;
+};
+
+/// One CTE definition as planned: its body and, once the executor has
+/// materialized it, its rows. PlannedQuery lists these in dependency
+/// order, and the executor materializes them in that order before the
+/// query root opens.
+struct PlannedCte {
+  std::string name;
+  OperatorPtr body;
+  MaterializedResult result;
 };
 
 /// Scan over a materialized result (CTE reference or derived table). In
 /// Sieve plans this is how the policy-filtered CTE (`sieve_<table>`) is
 /// consumed: the CTE body — guards plus the Δ operator over the base
-/// table — materializes on first Open through the query-wide CteCache and
-/// every other reference reuses the rows.
+/// table — has run once, before the query root opened, and every
+/// reference reads its rows.
 ///
-/// Threading: materialization happens exactly once per cache key per
-/// query, no matter which worker gets there first (CteCache), and runs
-/// through Executor::Materialize, so the CTE body fans out even when the
-/// operator above this scan (a hash join, an aggregate) runs serially.
-/// Partition clones additionally slice the materialized rows into
-/// contiguous ranges, so a pipeline of filters and projections over the
-/// CTE partitions too. Clones of one CreatePartitions call share the
-/// producer subtree guarded by exactly-once semantics.
+/// Threading: a derived table materializes its own child at Open through
+/// Executor::Materialize, so its pipeline fans out even when the operator
+/// above this scan (a hash join, an aggregate) runs serially. Partition
+/// clones borrow the opened scan's rows and slice them into contiguous
+/// ranges, so a pipeline of filters and projections over the scan
+/// partitions too.
 class MaterializedScanOperator : public Operator {
  public:
-  /// `child` produces the data on first Open (allows CTE sharing via the
-  /// ExecContext's CteCache). An empty `cache_key` always materializes
-  /// privately (derived tables).
-  MaterializedScanOperator(std::string cache_key, std::string qualifier,
-                           OperatorPtr child);
+  /// CTE reference: reads `cte->result`, which the executor fills before
+  /// the query root opens.
+  MaterializedScanOperator(const PlannedCte* cte, std::string qualifier);
+  /// Derived table: materializes `child` at Open.
+  MaterializedScanOperator(std::string qualifier, OperatorPtr child);
 
   Status Open(ExecContext* ctx) override;
   /// Serves a batch of views into the materialized rows.
@@ -299,30 +288,22 @@ class MaterializedScanOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
+  size_t PartitionRows() const override { return source_->rows.size(); }
 
  private:
-  /// Materialization state shared by the partition clones of one
-  /// CreatePartitions call: `producer` points into the original operator's
-  /// child subtree and is driven by exactly one clone (the OnceMaterialized
-  /// slot for the private path; the CteCache's slot for named CTEs).
-  struct SharedMaterialization {
-    Operator* producer = nullptr;
-    OnceMaterialized slot;
-  };
+  // A partition clone: rows [begin, end) of `source`.
+  MaterializedScanOperator(std::string label, std::string qualifier,
+                           const MaterializedResult* source, size_t begin,
+                           size_t end);
 
-  MaterializedScanOperator(std::string cache_key, std::string qualifier,
-                           std::shared_ptr<SharedMaterialization> shared,
-                           size_t part, size_t num_parts);
-
-  std::string cache_key_;  // empty -> always materialize privately
+  std::string label_;  // the CTE's name, or "derived"
   std::string qualifier_;
-  OperatorPtr child_;
+  OperatorPtr child_;             // derived tables only
+  MaterializedResult derived_;    // the child's rows
+  const MaterializedResult* source_ = &derived_;
   Schema schema_;
-  std::shared_ptr<SharedMaterialization> shared_;  // partition clones only
-  size_t part_ = 0;
-  size_t num_parts_ = 1;
-  const std::vector<Row>* rows_ = nullptr;
-  MaterializedResult private_result_;
+  size_t slice_begin_ = 0;        // a clone's slice of source_->rows
+  size_t slice_end_ = static_cast<size_t>(-1);
   size_t pos_ = 0;
   size_t end_ = 0;
 };
@@ -350,9 +331,7 @@ class FilterOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
-  size_t EstimatedPartitionRows() const override {
-    return child_->EstimatedPartitionRows();
-  }
+  size_t PartitionRows() const override { return child_->PartitionRows(); }
 
  private:
   OperatorPtr child_;
@@ -378,9 +357,7 @@ class ProjectOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
-  size_t EstimatedPartitionRows() const override {
-    return child_->EstimatedPartitionRows();
-  }
+  size_t PartitionRows() const override { return child_->PartitionRows(); }
 
  private:
   OperatorPtr child_;
@@ -406,7 +383,7 @@ class ProjectOperator : public Operator {
 /// the probe side, emitting probe rows in input order and each probe
 /// row's matches in build-insertion order. Both sides are pulled on the
 /// calling thread; a policy-filtered CTE on either side has already
-/// fanned out while it materialized (see MaterializedScanOperator).
+/// fanned out while it materialized, before the query root opened.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
@@ -449,14 +426,14 @@ class HashJoinOperator : public Operator {
   size_t probe_pos_ = 0;   // next unconsumed row of probe_batch_
 };
 
-/// Nested-loop cross join (right side materialized). Residual predicates are
-/// applied by a FilterOperator above.
+/// Nested-loop cross join (right side materialized at Open). Residual
+/// predicates are applied by a FilterOperator above.
 ///
-/// Partitioning: CreatePartitions splits the outer (left) side whenever
-/// the outer pipeline can partition — clone i crosses outer partition i
-/// against the full right side, which materializes exactly once across
-/// all clones (call_once), so concatenating the clones in order
-/// reproduces the serial cross-product order and every ExecStats counter.
+/// Partitioning: CreatePartitions splits the opened outer (left) side
+/// whenever the outer pipeline can partition — clone i crosses outer
+/// partition i against the right rows the opened join materialized, which
+/// every clone borrows, so concatenating the clones in order reproduces
+/// the serial cross-product order and every ExecStats counter.
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(OperatorPtr left, OperatorPtr right);
@@ -469,27 +446,17 @@ class NestedLoopJoinOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
-  size_t EstimatedPartitionRows() const override {
-    return left_->EstimatedPartitionRows();
-  }
+  size_t PartitionRows() const override { return left_->PartitionRows(); }
 
  private:
-  /// Right-side materialization shared by the partition clones of one
-  /// CreatePartitions call: `producer` points into the original operator's
-  /// right subtree and is driven by exactly one clone.
-  struct SharedRight {
-    Operator* producer = nullptr;
-    OnceMaterialized slot;
-  };
-
-  NestedLoopJoinOperator(OperatorPtr left, std::shared_ptr<SharedRight> shared);
+  // A partition clone: crosses `left` against rows it borrows.
+  NestedLoopJoinOperator(OperatorPtr left, const MaterializedResult* right);
 
   OperatorPtr left_;
-  OperatorPtr right_;
+  OperatorPtr right_;              // null on partition clones
+  MaterializedResult right_result_;  // right_'s rows, materialized at Open
+  const MaterializedResult* inner_ = &right_result_;
   Schema schema_;
-  std::shared_ptr<SharedRight> shared_;  // set only on partition clones
-  MaterializedResult private_right_;
-  const std::vector<Row>* right_rows_ = nullptr;
   Row current_left_;
   bool left_valid_ = false;
   size_t right_pos_ = 0;
@@ -501,8 +468,8 @@ class NestedLoopJoinOperator : public Operator {
 ///
 /// Open pulls the whole input on the calling thread; groups come out in
 /// first-occurrence order of the input stream. A policy-filtered CTE
-/// input has already fanned out while it materialized (see
-/// MaterializedScanOperator).
+/// input has already fanned out while it materialized, before the query
+/// root opened.
 class HashAggregateOperator : public Operator {
  public:
   HashAggregateOperator(OperatorPtr child, std::vector<ExprPtr> group_by,

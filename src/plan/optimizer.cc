@@ -268,28 +268,31 @@ std::string ExplainInfo::ToString() const {
 
 Result<PlannedQuery> Optimizer::Plan(const SelectStmt& stmt) {
   PlannedQuery out;
-  CteScope scope;
-  SIEVE_ASSIGN_OR_RETURN(out.root, PlanStmt(stmt, scope, &out.explain));
+  SIEVE_ASSIGN_OR_RETURN(out.root, PlanStmt(stmt, CteScope(), &out));
   return out;
 }
 
 Result<OperatorPtr> Optimizer::PlanStmt(const SelectStmt& stmt,
                                         const CteScope& scope,
-                                        ExplainInfo* explain) {
-  // Register CTEs into the child scope.
+                                        PlannedQuery* out) {
+  // Register CTEs into the child scope, which their bodies resolve in too.
+  // The definitions only need to outlive this call: no name outside the
+  // statement reaches them.
+  std::vector<CteDef> defs(stmt.ctes.size());
   CteScope child_scope = scope;
-  for (const auto& cte : stmt.ctes) {
-    child_scope[ToLower(cte.name)] = cte.query;
+  for (size_t i = 0; i < stmt.ctes.size(); ++i) {
+    defs[i].name = stmt.ctes[i].name;
+    defs[i].body = stmt.ctes[i].query.get();
+    defs[i].scope = &child_scope;
+    child_scope[ToLower(stmt.ctes[i].name)] = &defs[i];
   }
 
   // Left-fold the set-operation chain, honoring the per-link operator.
-  SIEVE_ASSIGN_OR_RETURN(OperatorPtr result,
-                         PlanCore(stmt, child_scope, explain));
+  SIEVE_ASSIGN_OR_RETURN(OperatorPtr result, PlanCore(stmt, child_scope, out));
   const SelectStmt* link = &stmt;
   while (link->union_next != nullptr) {
     const SelectStmt* next = link->union_next.get();
-    SIEVE_ASSIGN_OR_RETURN(OperatorPtr arm,
-                           PlanCore(*next, child_scope, explain));
+    SIEVE_ASSIGN_OR_RETURN(OperatorPtr arm, PlanCore(*next, child_scope, out));
     if (link->set_op == SetOpKind::kExcept) {
       result = std::make_unique<ExceptOperator>(std::move(result),
                                                 std::move(arm));
@@ -308,22 +311,36 @@ Result<OperatorPtr> Optimizer::PlanStmt(const SelectStmt& stmt,
 Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
                                                const SelectStmt& stmt,
                                                const CteScope& scope,
-                                               ExplainInfo* explain) {
+                                               PlannedQuery* out) {
   // Derived table.
   if (ref.subquery != nullptr) {
     SIEVE_ASSIGN_OR_RETURN(OperatorPtr child,
-                           PlanStmt(*ref.subquery, scope, explain));
-    return std::make_unique<MaterializedScanOperator>("", ref.EffectiveName(),
+                           PlanStmt(*ref.subquery, scope, out));
+    return std::make_unique<MaterializedScanOperator>(ref.EffectiveName(),
                                                       std::move(child));
   }
 
-  // CTE reference.
+  // CTE reference: the first one plans the body and lists it for the
+  // executor to materialize; every reference scans that one entry.
   auto cte_it = scope.find(ToLower(ref.table_name));
   if (cte_it != scope.end()) {
-    SIEVE_ASSIGN_OR_RETURN(OperatorPtr producer,
-                           PlanStmt(*cte_it->second, scope, explain));
-    return std::make_unique<MaterializedScanOperator>(
-        ToLower(ref.table_name), ref.EffectiveName(), std::move(producer));
+    CteDef* def = cte_it->second;
+    if (def->planning) {
+      return Status::BindError("CTE " + def->name +
+                               " refers to itself (recursive CTEs are "
+                               "unsupported)");
+    }
+    if (def->planned == nullptr) {
+      def->planning = true;
+      SIEVE_ASSIGN_OR_RETURN(OperatorPtr body,
+                             PlanStmt(*def->body, *def->scope, out));
+      def->planning = false;
+      out->ctes.push_back(std::make_unique<PlannedCte>(
+          PlannedCte{def->name, std::move(body), MaterializedResult()}));
+      def->planned = out->ctes.back().get();
+    }
+    return std::make_unique<MaterializedScanOperator>(def->planned,
+                                                      ref.EffectiveName());
   }
 
   // Base table.
@@ -445,13 +462,13 @@ Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
     scan = std::make_unique<SeqScanOperator>(entry, qualifier);
   }
 
-  explain->tables.push_back(std::move(info));
+  out->explain.tables.push_back(std::move(info));
   return scan;
 }
 
 Result<OperatorPtr> Optimizer::PlanCore(const SelectStmt& stmt,
                                         const CteScope& scope,
-                                        ExplainInfo* explain) {
+                                        PlannedQuery* out) {
   if (stmt.from.empty()) {
     return Status::BindError("queries without a FROM clause are unsupported");
   }
@@ -463,7 +480,7 @@ Result<OperatorPtr> Optimizer::PlanCore(const SelectStmt& stmt,
   OperatorPtr current;
   for (const auto& ref : stmt.from) {
     SIEVE_ASSIGN_OR_RETURN(OperatorPtr next,
-                           PlanTableAccess(ref, stmt, scope, explain));
+                           PlanTableAccess(ref, stmt, scope, out));
     if (current == nullptr) {
       current = std::move(next);
       continue;

@@ -41,9 +41,14 @@ struct ExplainInfo {
   std::string ToString() const;
 };
 
-/// A fully planned query.
+/// A fully planned query: the operator tree plus every CTE it reads, one
+/// entry per definition in dependency order (a body's own CTEs come before
+/// it). Executor::Run and QueryCursor::Open materialize `ctes` in order,
+/// before they open `root`; the CTE-reference scans in the tree read those
+/// entries, so they must stay where they are.
 struct PlannedQuery {
   OperatorPtr root;
+  std::vector<std::unique_ptr<PlannedCte>> ctes;
   ExplainInfo explain;
 };
 
@@ -51,6 +56,14 @@ struct PlannedQuery {
 /// access paths from histograms (honoring index hints per the engine
 /// profile), extracts hash-join keys from WHERE equi-conjuncts, and stacks
 /// filter/aggregate/project/union operators.
+///
+/// CTE names resolve lexically: a WITH list's names are visible to its
+/// statement and to every body in the list (siblings may reference each
+/// other in any order), the innermost scope wins, and a name defined twice
+/// in one list resolves to its last definition — the rewriter relies on
+/// that, appending its `sieve_<table>` CTEs after the user's. A
+/// definition's body is planned once, at its first reference; a reference
+/// reached while that body is being planned is a cycle (kBindError).
 class Optimizer {
  public:
   Optimizer(Catalog* catalog, const EngineProfile* profile)
@@ -65,16 +78,26 @@ class Optimizer {
                                       const Expr& predicate) const;
 
  private:
-  using CteScope = std::map<std::string, SelectStmtPtr>;
+  struct CteDef;
+  /// Lower-cased CTE name -> the definition it resolves to.
+  using CteScope = std::map<std::string, CteDef*>;
+  /// One WITH-list definition, alive while its statement is planned.
+  struct CteDef {
+    std::string name;
+    const SelectStmt* body = nullptr;
+    const CteScope* scope = nullptr;  // the names its body resolves
+    bool planning = false;            // its body is being planned
+    const PlannedCte* planned = nullptr;  // set at the first reference
+  };
 
   Result<OperatorPtr> PlanStmt(const SelectStmt& stmt, const CteScope& scope,
-                               ExplainInfo* explain);
+                               PlannedQuery* out);
   Result<OperatorPtr> PlanCore(const SelectStmt& stmt, const CteScope& scope,
-                               ExplainInfo* explain);
+                               PlannedQuery* out);
   Result<OperatorPtr> PlanTableAccess(const TableRef& ref,
                                       const SelectStmt& stmt,
                                       const CteScope& scope,
-                                      ExplainInfo* explain);
+                                      PlannedQuery* out);
 
   Catalog* catalog_;
   const EngineProfile* profile_;

@@ -88,7 +88,7 @@ bool SeqScanOperator::CreatePartitions(size_t num_parts,
   return true;
 }
 
-size_t SeqScanOperator::EstimatedPartitionRows() const {
+size_t SeqScanOperator::PartitionRows() const {
   return entry_->table->num_slots();
 }
 
@@ -101,38 +101,19 @@ std::string SeqScanOperator::name() const {
 // RowIdListScanOperator
 // ---------------------------------------------------------------------------
 
-RowIdListScanOperator::RowIdListScanOperator(
-    const TableEntry* entry, std::string qualifier,
-    std::shared_ptr<SharedIndexProbe> shared, size_t part, size_t num_parts)
-    : entry_(entry),
-      qualifier_(std::move(qualifier)),
-      shared_(std::move(shared)),
-      part_(part),
-      num_parts_(num_parts) {
+RowIdListScanOperator::RowIdListScanOperator(const TableEntry* entry,
+                                             std::string qualifier)
+    : entry_(entry), qualifier_(std::move(qualifier)) {
   schema_ = QualifySchema(entry_->table->schema(), qualifier_);
 }
 
 Status RowIdListScanOperator::Open(ExecContext* ctx) {
   (void)ctx;
-  if (shared_ != nullptr) {
-    // Partition clone: the first opener runs the probe, everyone slices it.
-    std::call_once(shared_->once, [this] {
-      Result<std::vector<RowId>> probed = Probe();
-      if (probed.ok()) {
-        shared_->row_ids = std::move(probed).value();
-      } else {
-        shared_->status = probed.status();
-      }
-    });
-    SIEVE_RETURN_IF_ERROR(shared_->status);
-    ids_ = &shared_->row_ids;
-    PartitionSlice(shared_->row_ids.size(), part_, num_parts_, &pos_, &end_);
-    return Status::OK();
+  if (ids_ == &row_ids_) {  // clones borrow their parent's probe instead
+    SIEVE_ASSIGN_OR_RETURN(row_ids_, Probe());
   }
-  SIEVE_ASSIGN_OR_RETURN(row_ids_, Probe());
-  ids_ = &row_ids_;
-  pos_ = 0;
-  end_ = row_ids_.size();
+  pos_ = slice_begin_;
+  end_ = std::min(slice_end_, ids_->size());
   return Status::OK();
 }
 
@@ -152,8 +133,16 @@ Result<bool> RowIdListScanOperator::NextBatch(ExecContext* ctx,
   return !out->empty();
 }
 
-size_t RowIdListScanOperator::EstimatedPartitionRows() const {
-  return entry_->table->num_slots();
+bool RowIdListScanOperator::CreatePartitions(
+    size_t num_parts, std::vector<OperatorPtr>* out) const {
+  for (size_t i = 0; i < num_parts; ++i) {
+    std::unique_ptr<RowIdListScanOperator> clone = CloneUnopened();
+    clone->ids_ = ids_;
+    PartitionSlice(ids_->size(), i, num_parts, &clone->slice_begin_,
+                   &clone->slice_end_);
+    out->push_back(std::move(clone));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,28 +152,16 @@ size_t RowIdListScanOperator::EstimatedPartitionRows() const {
 IndexRangeScanOperator::IndexRangeScanOperator(const TableEntry* entry,
                                                std::string qualifier,
                                                IndexRange range)
-    : RowIdListScanOperator(entry, std::move(qualifier), nullptr, 0, 1),
-      range_(std::move(range)) {}
-
-IndexRangeScanOperator::IndexRangeScanOperator(
-    const TableEntry* entry, std::string qualifier, IndexRange range,
-    std::shared_ptr<SharedIndexProbe> shared, size_t part, size_t num_parts)
-    : RowIdListScanOperator(entry, std::move(qualifier), std::move(shared),
-                            part, num_parts),
+    : RowIdListScanOperator(entry, std::move(qualifier)),
       range_(std::move(range)) {}
 
 Result<std::vector<RowId>> IndexRangeScanOperator::Probe() const {
   return ProbeIndex(entry_, range_);
 }
 
-bool IndexRangeScanOperator::CreatePartitions(
-    size_t num_parts, std::vector<OperatorPtr>* out) const {
-  auto shared = std::make_shared<SharedIndexProbe>();
-  for (size_t i = 0; i < num_parts; ++i) {
-    out->push_back(OperatorPtr(new IndexRangeScanOperator(
-        entry_, qualifier_, range_, shared, i, num_parts)));
-  }
-  return true;
+std::unique_ptr<RowIdListScanOperator> IndexRangeScanOperator::CloneUnopened()
+    const {
+  return std::make_unique<IndexRangeScanOperator>(entry_, qualifier_, range_);
 }
 
 std::string IndexRangeScanOperator::name() const {
@@ -199,15 +176,7 @@ std::string IndexRangeScanOperator::name() const {
 IndexUnionBitmapScanOperator::IndexUnionBitmapScanOperator(
     const TableEntry* entry, std::string qualifier,
     std::vector<IndexRange> ranges)
-    : RowIdListScanOperator(entry, std::move(qualifier), nullptr, 0, 1),
-      ranges_(std::move(ranges)) {}
-
-IndexUnionBitmapScanOperator::IndexUnionBitmapScanOperator(
-    const TableEntry* entry, std::string qualifier,
-    std::vector<IndexRange> ranges, std::shared_ptr<SharedIndexProbe> shared,
-    size_t part, size_t num_parts)
-    : RowIdListScanOperator(entry, std::move(qualifier), std::move(shared),
-                            part, num_parts),
+    : RowIdListScanOperator(entry, std::move(qualifier)),
       ranges_(std::move(ranges)) {}
 
 Result<std::vector<RowId>> IndexUnionBitmapScanOperator::Probe() const {
@@ -219,14 +188,10 @@ Result<std::vector<RowId>> IndexUnionBitmapScanOperator::Probe() const {
   return bitmap.ToVector();
 }
 
-bool IndexUnionBitmapScanOperator::CreatePartitions(
-    size_t num_parts, std::vector<OperatorPtr>* out) const {
-  auto shared = std::make_shared<SharedIndexProbe>();
-  for (size_t i = 0; i < num_parts; ++i) {
-    out->push_back(OperatorPtr(new IndexUnionBitmapScanOperator(
-        entry_, qualifier_, ranges_, shared, i, num_parts)));
-  }
-  return true;
+std::unique_ptr<RowIdListScanOperator>
+IndexUnionBitmapScanOperator::CloneUnopened() const {
+  return std::make_unique<IndexUnionBitmapScanOperator>(entry_, qualifier_,
+                                                        ranges_);
 }
 
 std::string IndexUnionBitmapScanOperator::name() const {

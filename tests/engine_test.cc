@@ -158,6 +158,51 @@ TEST_F(EngineTest, WithClauseAliasBinding) {
             10u);
 }
 
+TEST_F(EngineTest, RecursiveCteIsABindError) {
+  // Regression: the planner put a whole WITH list in scope before planning
+  // any body, so a CTE reached from its own body recursed until the stack
+  // overflowed.
+  const std::pair<const char*, const char*> cases[] = {
+      {"WITH x AS (SELECT * FROM x) SELECT * FROM x", "CTE x "},
+      {"WITH a AS (SELECT * FROM b), b AS (SELECT * FROM a) "
+       "SELECT * FROM events, a",
+       "CTE a "},
+  };
+  for (const auto& [sql, names] : cases) {
+    auto result = db_.ExecuteSql(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kBindError) << sql;
+    EXPECT_NE(result.status().message().find(names), std::string::npos)
+        << result.status().ToString();
+    auto explain = db_.ExplainSql(sql);
+    ASSERT_FALSE(explain.ok()) << sql;
+    EXPECT_EQ(explain.status().code(), StatusCode::kBindError) << sql;
+  }
+  // A forward reference that is not a cycle still resolves.
+  EXPECT_EQ(Count("WITH a AS (SELECT * FROM b WHERE ap = 1), "
+                  "b AS (SELECT * FROM events WHERE owner = 1) "
+                  "SELECT * FROM a"),
+            10u);
+}
+
+TEST_F(EngineTest, CteBodyResolvesNamesWhereItIsDefined) {
+  // `a` is read from a scope whose own `events` CTE shadows the table;
+  // a's body still reads the events table.
+  EXPECT_EQ(Count("WITH a AS (SELECT * FROM events WHERE owner = 1) "
+                  "SELECT * FROM (WITH events AS (SELECT * FROM users) "
+                  "SELECT * FROM a) AS d"),
+            10u);
+}
+
+TEST_F(EngineTest, ExplainListsCteBodyOncePerDefinition) {
+  // A CTE body is planned once, however often the query reads it.
+  auto explain = db_.ExplainSql(
+      "WITH mine AS (SELECT * FROM events WHERE owner = 4) "
+      "SELECT * FROM mine WHERE ap = 4 UNION SELECT * FROM mine");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain->tables.size(), 1u) << explain->ToString();
+}
+
 TEST_F(EngineTest, DerivedTable) {
   EXPECT_EQ(
       Count("SELECT * FROM (SELECT * FROM events WHERE owner = 1) AS sub "

@@ -130,7 +130,9 @@ std::vector<std::string> DrainToStrings(Operator* op, ExecContext* ctx) {
 // Drains the serial operator and `num_parts` partition clones of
 // `partitioned` at batch capacities 1, 3 and 1024, asserting the
 // concatenated partitions reproduce the serial stream exactly (same rows,
-// same order) and that per-partition stats sum to the serial stats.
+// same order) and that the split operator's Open plus the per-partition
+// stats sum to the serial stats. As in the executor, `partitioned` is
+// opened before it splits, and its clones borrow what that Open resolved.
 void ExpectPartitionsMatchSerial(Operator* serial, Operator* partitioned,
                                  size_t num_parts, Catalog* catalog) {
   for (int capacity : {1, 3, 1024}) {
@@ -141,10 +143,16 @@ void ExpectPartitionsMatchSerial(Operator* serial, Operator* partitioned,
     serial_ctx.batch_size = capacity;
     std::vector<std::string> expected = DrainToStrings(serial, &serial_ctx);
 
+    ExecStats merged_stats;
+    ExecContext split_ctx;
+    split_ctx.catalog = catalog;
+    split_ctx.stats = &merged_stats;
+    split_ctx.batch_size = capacity;
+    Status open = partitioned->Open(&split_ctx);
+    ASSERT_TRUE(open.ok()) << open.ToString();
     std::vector<OperatorPtr> parts;
     ASSERT_TRUE(partitioned->CreatePartitions(num_parts, &parts));
     ASSERT_EQ(parts.size(), num_parts);
-    ExecStats merged_stats;
     std::vector<std::string> merged;
     for (auto& part : parts) {
       ExecStats part_stats;
@@ -403,14 +411,31 @@ TEST(InteriorOperatorTest, AggregateManyGroupsMatchesSerial) {
 
 TEST(InteriorOperatorTest, CteMaterializesOnceAcrossWorkers) {
   auto db = MakeTable(3000);
-  // The CTE is referenced by both UNION arms; the shared CteCache must
-  // materialize it exactly once (the stats equality below would fail if a
-  // worker re-materialized it).
+  // The CTE is referenced by both UNION arms, which drain concurrently;
+  // it must materialize exactly once (the stats equality below would fail
+  // if an arm re-materialized it).
   ExpectParallelMatchesSerial(
       db.get(),
       "WITH p AS (SELECT * FROM t WHERE val < 5) "
       "SELECT val FROM p WHERE id < 1000 UNION "
       "SELECT val FROM p WHERE id > 2000");
+}
+
+TEST(InteriorOperatorTest, SameNamedCtesInDifferentScopesStayApart) {
+  // Each derived table defines its own `x`; each reference must read its
+  // own definition's rows, at every thread count.
+  auto db = MakeTable(10);
+  const std::string sql =
+      "SELECT * FROM (WITH x AS (SELECT * FROM t WHERE id < 2) "
+      "SELECT * FROM x) a UNION ALL "
+      "SELECT * FROM (WITH x AS (SELECT * FROM t WHERE id > 7) "
+      "SELECT * FROM x) b";
+  auto result = db->ExecuteSql(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<int64_t> ids;
+  for (const Row& row : result->rows) ids.push_back(row[0].AsInt());
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 1, 8, 9}));
+  ExpectParallelMatchesSerial(db.get(), sql);
 }
 
 // ---------------------------------------------------------------------------
@@ -644,9 +669,18 @@ TEST(PlanPartitionCountTest, SizesMorselsByInputRows) {
   SeqScanOperator mid(mid_entry, "");
   EXPECT_EQ(PlanPartitionCount(mid, ctx), 4u);
 
-  // Unknown size (a not-yet-materialized subtree): one slice per worker.
-  MaterializedScanOperator unknown("k", "", nullptr);
-  EXPECT_EQ(PlanPartitionCount(unknown, ctx), 4u);
+  // An opened index scan is sized by the row ids it probed, not by the
+  // table's slots: 5 of 100,000 rows make one morsel.
+  IndexRange five;
+  five.column = "id";
+  five.lo = Value::Int(500);
+  five.hi = Value::Int(504);
+  IndexRangeScanOperator probe(big_entry, "", five);
+  ExecContext open_ctx;
+  open_ctx.catalog = &big_db->catalog();
+  ASSERT_TRUE(probe.Open(&open_ctx).ok());
+  EXPECT_EQ(probe.PartitionRows(), 5u);
+  EXPECT_EQ(PlanPartitionCount(probe, ctx), 1u);
 }
 
 // Compares ExecuteSql at (threads, batch) against the serial reference
@@ -839,8 +873,8 @@ TEST(BatchExecutionTest, AggregateOutputSpansManyBatches) {
 TEST(BatchExecutionTest, NestedLoopJoinNativeBatchPath) {
   // Non-equi predicate forces the nested-loop plan; its native NextBatch
   // crosses whole outer batches against the materialized right side, and
-  // CreatePartitions splits the outer pipeline while sharing one
-  // materialization of the inner side.
+  // CreatePartitions splits the outer pipeline while every clone borrows
+  // the one materialization of the inner side.
   auto db = MakeTable(300);
   Schema schema({{"v", DataType::kInt}, {"name", DataType::kString}});
   ASSERT_TRUE(db->CreateTable("names", std::move(schema)).ok());
@@ -862,6 +896,22 @@ TEST(BatchExecutionTest, NestedLoopJoinNativeBatchPath) {
       "names.v";
   ExpectModeMatchesReference(db.get(), empty_inner, 1, 1024);
   ExpectModeMatchesReference(db.get(), empty_inner, 4, 64);
+
+  // 300 outer rows are one morsel at every thread count; 6,000 are
+  // several, so clones really borrow the inner side, and a filtered
+  // derived table's rows, across workers.
+  auto big = MakeTable(6000, {17, 4242});
+  AddNamesTable(big.get());
+  const char* borrowed[] = {
+      "SELECT t.id, names.name FROM t, names WHERE t.val < names.v",
+      "SELECT d.id, d.val FROM (SELECT * FROM t WHERE val < 5) AS d "
+      "WHERE d.id > 100",
+  };
+  for (const char* borrowed_sql : borrowed) {
+    for (int threads : {2, 4, 8}) {
+      ExpectModeMatchesReference(big.get(), borrowed_sql, threads, 1024);
+    }
+  }
 }
 
 }  // namespace

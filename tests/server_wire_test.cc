@@ -1,6 +1,7 @@
 // Wire-layer robustness: payload encoding round-trips, incremental frame
 // extraction, malformed/truncated/oversized frames, default-deny
-// authentication, random-bytes fuzzing, and connection teardown that
+// authentication, random-bytes fuzzing, a query that once crashed the
+// planner (a recursive CTE), and connection teardown that
 // releases middleware resources (the mid-cursor disconnect case).
 
 #include <atomic>
@@ -255,6 +256,36 @@ TEST(ServerFuzzTest, RandomBytesNeverKillTheServer) {
   }
   // The server survives and still serves a well-behaved client.
   auto c = h.Client("tok-alice");
+  auto stmt = c->Prepare("SELECT COUNT(*) FROM wifi");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto res = c->Execute(stmt->id);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->rows.size(), 1u);
+  EXPECT_EQ(res->rows[0][0], Value::Int(300));  // alice: owners 0..4
+}
+
+TEST(ServerFuzzTest, RecursiveCteGetsErrorReplyNotACrash) {
+  // Regression: a CTE reached from its own body overflowed the planner's
+  // stack, so any authenticated client could kill the server.
+  ServerHarness h;
+  auto c = h.Client("tok-alice");
+  for (const char* sql : {
+           "WITH x AS (SELECT * FROM x) SELECT * FROM x",
+           "WITH a AS (SELECT * FROM b), b AS (SELECT * FROM a) "
+           "SELECT * FROM wifi, a",
+       }) {
+    auto stmt = c->Prepare(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << " -> " << stmt.status().ToString();
+    auto res = c->Execute(stmt->id);
+    ASSERT_FALSE(res.ok()) << sql;
+    EXPECT_EQ(static_cast<WireError>(c->last_wire_error()),
+              WireError::kExecFailed)
+        << sql;
+    EXPECT_NE(res.status().message().find("recursive CTEs are unsupported"),
+              std::string::npos)
+        << res.status().ToString();
+  }
+  // The same connection still serves a well-behaved query.
   auto stmt = c->Prepare("SELECT COUNT(*) FROM wifi");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   auto res = c->Execute(stmt->id);

@@ -1,8 +1,9 @@
 // Unit tests for the session-oriented middleware API: SieveSession /
 // PreparedQuery / ResultCursor, parameter binding edge cases, the
 // pull-validated rewrite cache (which mutations stale which snapshots),
-// LRU eviction, scalar-subquery and CTE-body enforcement, the reference
-// oracle over derived tables and the validated SieveOptions update path.
+// LRU eviction, scalar-subquery and CTE-body enforcement, recursive CTEs
+// failing cleanly, the reference oracle over derived tables and the
+// validated SieveOptions update path.
 
 #include "sieve/session.h"
 
@@ -691,6 +692,30 @@ TEST_F(SessionTest, CteBodyOverProtectedTableIsDenied) {
   EXPECT_EQ(Fingerprints(*allowed), Fingerprints(*oracle));
   EXPECT_GT(allowed->size(), 0u);
   EXPECT_LT(allowed->size(), direct->size());
+}
+
+TEST_F(SessionTest, RecursiveCteFailsCleanly) {
+  // Regression: a CTE reached from its own body recursed in the planner
+  // until the stack overflowed, killing the process.
+  SieveSession session(&sieve_, md_);
+  for (const char* sql : {
+           "WITH x AS (SELECT * FROM x) SELECT * FROM x",
+           "WITH a AS (SELECT * FROM b), b AS (SELECT * FROM a) "
+           "SELECT * FROM wifi, a",
+       }) {
+    auto one_shot = sieve_.Execute(sql, md_);
+    ASSERT_FALSE(one_shot.ok()) << sql;
+    EXPECT_EQ(one_shot.status().code(), StatusCode::kBindError) << sql;
+    auto prepared = session.Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << sql << " -> "
+                               << prepared.status().ToString();
+    auto executed = prepared->Execute();
+    ASSERT_FALSE(executed.ok()) << sql;
+    EXPECT_EQ(executed.status().code(), StatusCode::kBindError) << sql;
+  }
+  auto after = session.Execute("SELECT * FROM wifi");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->size(), 90u);
 }
 
 TEST_F(SessionTest, ReferenceOracleEnforcesDerivedTables) {
