@@ -1,5 +1,6 @@
 #include "common/value.h"
 
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <functional>
@@ -124,13 +125,29 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
+  // Compare matches an int and a double by value, so both hash by one
+  // rule: a whole number below 2^53 in magnitude (exact either way) by its
+  // integer, anything else by its double. An int of 2^53 or more compares
+  // through its rounded double, so it hashes through it too.
+  constexpr int64_t kExact = int64_t{1} << 53;
+  auto hash_number = [](int64_t n) {
+    return std::hash<int64_t>()(n) ^
+           (static_cast<size_t>(Family(DataType::kInt)) << 1);
+  };
   switch (type_) {
     case DataType::kNull:
       return 0x9e3779b9;
     case DataType::kString:
       return std::hash<std::string>()(str_);
+    case DataType::kInt:
+      return num_ > -kExact && num_ < kExact
+                 ? hash_number(num_)
+                 : std::hash<double>()(static_cast<double>(num_));
     case DataType::kDouble:
-      return std::hash<double>()(real_);
+      return std::fabs(real_) < static_cast<double>(kExact) &&
+                     std::trunc(real_) == real_
+                 ? hash_number(static_cast<int64_t>(real_))
+                 : std::hash<double>()(real_);
     default:
       // Fold the family so that Time(5) and Int(5) do not collide silently
       // in heterogeneous hash tables.

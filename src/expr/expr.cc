@@ -56,20 +56,15 @@ ExprPtr InListExpr::Clone() const {
                                       negated_);
 }
 
-const std::unordered_set<Value, ValueHash>* InListExpr::ConstantSet() const {
-  if (!set_built_) {
-    set_built_ = true;
-    set_usable_ = true;
-    for (const auto& item : items_) {
-      if (item->kind() != ExprKind::kLiteral) {
-        set_usable_ = false;
-        constant_set_.clear();
-        break;
-      }
-      constant_set_.insert(static_cast<const LiteralExpr&>(*item).value());
+void InListExpr::BuildConstantSet() {
+  constant_set_.emplace();
+  for (const auto& item : items_) {
+    if (item->kind() != ExprKind::kLiteral) {
+      constant_set_.reset();
+      return;
     }
+    constant_set_->insert(static_cast<const LiteralExpr&>(*item).value());
   }
-  return set_usable_ ? &constant_set_ : nullptr;
 }
 
 std::string AndExpr::ToSql() const {
@@ -345,6 +340,7 @@ Status BindExpr(Expr* expr, const Schema& schema) {
         SIEVE_RETURN_IF_ERROR(BindExpr(item.get(), schema));
         CoerceLiteralToColumnType(schema, *in->input(), item.get());
       }
+      in->BuildConstantSet();
       return Status::OK();
     }
     case ExprKind::kAnd:

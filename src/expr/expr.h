@@ -2,6 +2,7 @@
 #define SIEVE_EXPR_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -206,18 +207,21 @@ class InListExpr : public Expr {
   std::string ToSql() const override;
   ExprPtr Clone() const override;
 
-  /// Hash set of the literal items, built lazily on first evaluation when
-  /// every item is a constant (how real engines evaluate large IN lists).
-  /// Null when some item is non-literal.
-  const std::unordered_set<Value, ValueHash>* ConstantSet() const;
+  /// Hash set of the items when every one is a literal (how real engines
+  /// evaluate large IN lists). BindExpr builds it after it coerces the
+  /// literals, so evaluation only reads it. Null on an unbound node and
+  /// when some item is not a literal.
+  const std::unordered_set<Value, ValueHash>* ConstantSet() const {
+    return constant_set_.has_value() ? &*constant_set_ : nullptr;
+  }
+  /// Rebuilds ConstantSet from the current items (BindExpr's last step).
+  void BuildConstantSet();
 
  private:
   ExprPtr input_;
   std::vector<ExprPtr> items_;
   bool negated_;
-  mutable bool set_built_ = false;
-  mutable bool set_usable_ = false;
-  mutable std::unordered_set<Value, ValueHash> constant_set_;
+  std::optional<std::unordered_set<Value, ValueHash>> constant_set_;
 };
 
 /// N-ary conjunction.
@@ -336,7 +340,9 @@ bool ExprEquals(const Expr& a, const Expr& b);
 /// Binds every ColumnRef in the tree against `schema`. Resolution order:
 /// exact match on the full qualified name, then unique match on the bare
 /// column name (so predicates written against base tables bind inside
-/// aliased scans and join outputs).
+/// aliased scans and join outputs). Also coerces string literals compared
+/// with time/date columns and builds each IN list's constant set, so a
+/// bound tree is only read by evaluation and may be shared across threads.
 Status BindExpr(Expr* expr, const Schema& schema);
 
 }  // namespace sieve

@@ -7,20 +7,16 @@ HashAggregateOperator::HashAggregateOperator(OperatorPtr child,
                                              std::vector<SelectItem> items)
     : child_(std::move(child)),
       group_by_(std::move(group_by)),
-      items_(std::move(items)) {}
-
-void HashAggregateOperator::BuildOutputSchema(const Schema& input) {
+      items_(std::move(items)) {
   // Output schema mirrors the SELECT list.
-  schema_ = Schema();
+  const Schema& input = child_->schema();
   for (const auto& item : items_) {
     DataType type = DataType::kNull;
     switch (item.agg) {
       case AggFn::kNone: {
         if (item.expr->kind() == ExprKind::kColumnRef) {
           const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
-          if (ref.bound_index() >= 0) {
-            type = input.column(static_cast<size_t>(ref.bound_index())).type;
-          }
+          type = input.column(static_cast<size_t>(ref.bound_index())).type;
         }
         break;
       }
@@ -38,6 +34,7 @@ void HashAggregateOperator::BuildOutputSchema(const Schema& input) {
         break;
     }
     schema_.AddColumn({item.OutputName(), type});
+    if (item.agg != AggFn::kNone) ++num_aggs_;
   }
 }
 
@@ -59,18 +56,14 @@ Status HashAggregateOperator::Accumulate(ExecContext* ctx) {
         SIEVE_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*g, row));
         key.push_back(std::move(v));
       }
-      std::string fp = RowFingerprint(key);
-      auto it = group_index_.find(fp);
-      size_t group_pos;
-      if (it == group_index_.end()) {
-        group_pos = groups_.size();
+      auto [it, inserted] =
+          group_index_.emplace(std::move(key), groups_.size());
+      const size_t group_pos = it->second;
+      if (inserted) {
         GroupState state;
         state.first_row = row;
         state.aggs.resize(num_aggs_);
         groups_.push_back(std::move(state));
-        group_index_.emplace(std::move(fp), group_pos);
-      } else {
-        group_pos = it->second;
       }
 
       // Update aggregate states in SELECT-list order.
@@ -96,25 +89,11 @@ Status HashAggregateOperator::Accumulate(ExecContext* ctx) {
 }
 
 Status HashAggregateOperator::Open(ExecContext* ctx) {
-  num_aggs_ = 0;
-  for (const auto& item : items_) {
-    if (item.agg != AggFn::kNone) ++num_aggs_;
-  }
   groups_.clear();
   group_index_.clear();
   pos_ = 0;
 
   SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
-  const Schema& input = child_->schema();
-  for (auto& g : group_by_) {
-    SIEVE_RETURN_IF_ERROR(BindExpr(g.get(), input));
-  }
-  for (auto& item : items_) {
-    if (item.expr != nullptr) {
-      SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), input));
-    }
-  }
-  BuildOutputSchema(input);
   SIEVE_RETURN_IF_ERROR(Accumulate(ctx));
 
   // SQL semantics: a global aggregate (no GROUP BY) over an empty input

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include "common/exec_stats.h"
 #include "common/fault_injection.h"
@@ -17,13 +16,6 @@
 #include "storage/catalog.h"
 
 namespace sieve {
-
-/// Fully evaluated intermediate result (CTE bodies, derived tables, the
-/// nested-loop inner side).
-struct MaterializedResult {
-  Schema schema;
-  std::vector<Row> rows;
-};
 
 /// Per-query execution state threaded through every operator: catalog and
 /// engine hooks, query metadata (for the Δ UDF), stat counters, the timeout

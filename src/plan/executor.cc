@@ -42,7 +42,7 @@ constexpr size_t kDrainBatchRows = 4096;
 // claim counter is the shared work queue, and a worker that finishes a
 // cheap morsel immediately claims the next one instead of idling behind a
 // skewed sibling. Larger values smooth skew further but multiply
-// per-morsel Open overhead (operator clones, expression binds).
+// per-morsel Open overhead (operator clones, evaluator and buffer setup).
 constexpr size_t kMorselsPerThread = 8;
 
 // Minimum rows a morsel should cover (one default batch): below this the
@@ -88,8 +88,8 @@ Status OpenAndSplit(Operator* root, ExecContext* ctx,
 // budget, and every reference in the tree then reads finished rows.
 Status MaterializeCtes(PlannedQuery* plan, ExecContext* ctx) {
   for (const std::unique_ptr<PlannedCte>& cte : plan->ctes) {
-    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
-        cte->body.get(), ctx, &cte->result.schema, &cte->result.rows));
+    SIEVE_RETURN_IF_ERROR(
+        Executor::Materialize(cte->body.get(), ctx, &cte->rows));
   }
   return Status::OK();
 }
@@ -317,11 +317,10 @@ void QueryCursor::TightenDeadline(double seconds_from_now) {
   }
 }
 
-Status Executor::Materialize(Operator* root, ExecContext* ctx, Schema* schema,
+Status Executor::Materialize(Operator* root, ExecContext* ctx,
                              std::vector<Row>* rows) {
   std::vector<OperatorPtr> parts;
   SIEVE_RETURN_IF_ERROR(OpenAndSplit(root, ctx, &parts));
-  *schema = root->schema();
   if (!parts.empty()) return DrainPartitioned(parts, ctx, rows);
   return Pull(root, ctx, rows);
 }
@@ -329,9 +328,9 @@ Status Executor::Materialize(Operator* root, ExecContext* ctx, Schema* schema,
 Result<ResultSet> Executor::Run(PlannedQuery* plan, ExecContext* ctx) {
   Timer timer;
   ResultSet result;
+  result.schema = plan->root->schema();
   SIEVE_RETURN_IF_ERROR(MaterializeCtes(plan, ctx));
-  SIEVE_RETURN_IF_ERROR(
-      Materialize(plan->root.get(), ctx, &result.schema, &result.rows));
+  SIEVE_RETURN_IF_ERROR(Materialize(plan->root.get(), ctx, &result.rows));
   if (ctx->stats != nullptr) {
     ctx->stats->rows_output += result.rows.size();
     result.stats = *ctx->stats;

@@ -145,7 +145,7 @@ class Executor {
   /// Materializes `plan`'s CTEs in order, then drains its root.
   static Result<ResultSet> Run(PlannedQuery* plan, ExecContext* ctx);
 
-  /// Opens `root` and drains it to completion into *schema / *rows. When
+  /// Opens `root` and drains it to completion into *rows. When
   /// ctx->num_threads > 1, ctx->pool is set and the opened pipeline
   /// supports partitioning (Operator::CreatePartitions), the partitions
   /// run on the pool under per-worker contexts; per-worker ExecStats are
@@ -156,7 +156,7 @@ class Executor {
   /// scans, the nested-loop inner side) still come back through this
   /// function from their Open and fan out there, and a UNION drains its
   /// arms concurrently (see the threading contract in plan/operators.h).
-  static Status Materialize(Operator* root, ExecContext* ctx, Schema* schema,
+  static Status Materialize(Operator* root, ExecContext* ctx,
                             std::vector<Row>* rows);
 };
 

@@ -17,38 +17,17 @@ Schema ConcatSchemas(const Schema& left, const Schema& right) {
 // HashJoinOperator
 // ---------------------------------------------------------------------------
 
-size_t HashJoinOperator::VecValueHash::operator()(
-    const std::vector<Value>& key) const {
-  size_t h = 1469598103934665603ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool HashJoinOperator::VecValueEq::operator()(
-    const std::vector<Value>& a, const std::vector<Value>& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].Compare(b[i]) != 0) return false;
-  }
-  return true;
-}
-
 HashJoinOperator::HashJoinOperator(OperatorPtr left, OperatorPtr right,
                                    std::vector<ExprPtr> left_keys,
                                    std::vector<ExprPtr> right_keys)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
-      right_keys_(std::move(right_keys)) {}
+      right_keys_(std::move(right_keys)),
+      schema_(ConcatSchemas(left_->schema(), right_->schema())) {}
 
 Status HashJoinOperator::BuildHashTable(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
-  for (auto& k : right_keys_) {
-    SIEVE_RETURN_IF_ERROR(BindExpr(k.get(), right_->schema()));
-  }
   right_eval_ = std::make_unique<Evaluator>(&right_->schema(), ctx->hooks,
                                             ctx->metadata, ctx->stats);
   build_.clear();
@@ -61,7 +40,7 @@ Status HashJoinOperator::BuildHashTable(ExecContext* ctx) {
     if (!has) break;
     for (size_t r = 0; r < batch.size(); ++r) {
       batch.MaterializeRow(r, &row);
-      std::vector<Value> key;
+      Row key;
       key.reserve(right_keys_.size());
       for (const auto& k : right_keys_) {
         SIEVE_ASSIGN_OR_RETURN(Value v, right_eval_->Eval(*k, row));
@@ -78,10 +57,6 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   // drain), then build and stream left rows through NextBatch.
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
   SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
-  schema_ = ConcatSchemas(left_->schema(), right_->schema());
-  for (auto& k : left_keys_) {
-    SIEVE_RETURN_IF_ERROR(BindExpr(k.get(), left_->schema()));
-  }
   left_eval_ = std::make_unique<Evaluator>(&left_->schema(), ctx->hooks,
                                            ctx->metadata, ctx->stats);
   probe_batch_.reset(
@@ -116,7 +91,7 @@ Result<bool> HashJoinOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
       probe_pos_ = 0;
     }
     probe_batch_.MaterializeRow(probe_pos_++, &current_left_);
-    std::vector<Value> key;
+    Row key;
     key.reserve(left_keys_.size());
     for (const auto& k : left_keys_) {
       SIEVE_ASSIGN_OR_RETURN(Value v, left_eval_->Eval(*k, current_left_));
@@ -144,20 +119,22 @@ std::string HashJoinOperator::name() const {
 
 NestedLoopJoinOperator::NestedLoopJoinOperator(OperatorPtr left,
                                                OperatorPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {}
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      schema_(ConcatSchemas(left_->schema(), right_->schema())) {}
 
-NestedLoopJoinOperator::NestedLoopJoinOperator(
-    OperatorPtr left, const MaterializedResult* right)
-    : left_(std::move(left)), inner_(right) {}
+NestedLoopJoinOperator::NestedLoopJoinOperator(OperatorPtr left,
+                                               const std::vector<Row>* right,
+                                               Schema schema)
+    : left_(std::move(left)), schema_(std::move(schema)), inner_(right) {}
 
 Status NestedLoopJoinOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
   if (right_ != nullptr) {  // partition clones borrow the parent's rows
-    right_result_ = MaterializedResult();
-    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
-        right_.get(), ctx, &right_result_.schema, &right_result_.rows));
+    right_rows_.clear();
+    SIEVE_RETURN_IF_ERROR(
+        Executor::Materialize(right_.get(), ctx, &right_rows_));
   }
-  schema_ = ConcatSchemas(left_->schema(), inner_->schema);
   left_valid_ = false;
   right_pos_ = 0;
   left_batch_.reset(
@@ -169,7 +146,7 @@ Status NestedLoopJoinOperator::Open(ExecContext* ctx) {
 Result<bool> NestedLoopJoinOperator::NextBatch(ExecContext* ctx,
                                                RowBatch* out) {
   out->clear();
-  const std::vector<Row>& right_rows = inner_->rows;
+  const std::vector<Row>& right_rows = *inner_;
   while (!out->full()) {
     if (!left_valid_) {
       if (left_pos_ >= left_batch_.size()) {
@@ -205,8 +182,8 @@ bool NestedLoopJoinOperator::CreatePartitions(
   std::vector<OperatorPtr> left_parts;
   if (!left_->CreatePartitions(num_parts, &left_parts)) return false;
   for (auto& part : left_parts) {
-    out->push_back(
-        OperatorPtr(new NestedLoopJoinOperator(std::move(part), inner_)));
+    out->push_back(OperatorPtr(
+        new NestedLoopJoinOperator(std::move(part), inner_, schema_)));
   }
   return true;
 }

@@ -53,17 +53,6 @@ std::string RowFingerprint(const Row& row) {
   return out;
 }
 
-std::vector<SelectItem> CloneItems(const std::vector<SelectItem>& items) {
-  std::vector<SelectItem> out;
-  out.reserve(items.size());
-  for (const auto& item : items) {
-    out.push_back(SelectItem{
-        item.expr != nullptr ? item.expr->Clone() : nullptr, item.agg,
-        item.alias});
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // FilterOperator
 // ---------------------------------------------------------------------------
@@ -73,7 +62,6 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate)
 
 Status FilterOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
-  SIEVE_RETURN_IF_ERROR(BindExpr(predicate_.get(), child_->schema()));
   evaluator_ = std::make_unique<Evaluator>(&child_->schema(), ctx->hooks,
                                            ctx->metadata, ctx->stats);
   child_batch_.reset(
@@ -111,7 +99,7 @@ bool FilterOperator::CreatePartitions(size_t num_parts,
   if (!child_->CreatePartitions(num_parts, &children)) return false;
   for (auto& child : children) {
     out->push_back(
-        std::make_unique<FilterOperator>(std::move(child), predicate_->Clone()));
+        std::make_unique<FilterOperator>(std::move(child), predicate_));
   }
   return true;
 }
@@ -122,42 +110,32 @@ bool FilterOperator::CreatePartitions(size_t num_parts,
 
 ProjectOperator::ProjectOperator(OperatorPtr child,
                                  std::vector<SelectItem> items)
-    : child_(std::move(child)), items_(std::move(items)) {}
-
-Status ProjectOperator::Open(ExecContext* ctx) {
-  SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
-  schema_ = Schema();
-  for (auto& item : items_) {
-    SIEVE_RETURN_IF_ERROR(BindExpr(item.expr.get(), child_->schema()));
+    : child_(std::move(child)), items_(std::move(items)) {
+  const Schema& input = child_->schema();
+  for (const auto& item : items_) {
     DataType type = DataType::kNull;
     if (item.expr->kind() == ExprKind::kColumnRef) {
-      const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
-      if (ref.bound_index() >= 0) {
-        type = child_->schema().column(static_cast<size_t>(ref.bound_index())).type;
-      }
+      int idx = static_cast<const ColumnRefExpr&>(*item.expr).bound_index();
+      type = input.column(static_cast<size_t>(idx)).type;
+      permute_.push_back(idx);
+      permute_max_col_ = std::max(permute_max_col_, idx);
     } else if (item.expr->kind() == ExprKind::kLiteral) {
       type = static_cast<const LiteralExpr&>(*item.expr).value().type();
     }
     schema_.AddColumn({item.OutputName(), type});
   }
+  // Pure column projection: when every item is a column ref, output column
+  // j is just input column permute_[j]. Duplicated references share the
+  // batch's arrays, so nothing needs copying.
+  if (permute_.size() != items_.size()) permute_.clear();
+}
+
+Status ProjectOperator::Open(ExecContext* ctx) {
+  SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
   evaluator_ = std::make_unique<Evaluator>(&child_->schema(), ctx->hooks,
                                            ctx->metadata, ctx->stats);
   child_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
-
-  // Pure column projection: every item is a bound column ref, so output
-  // column j is just input column permute_[j]. Duplicated references
-  // share the batch's arrays, so nothing needs copying.
-  permute_.clear();
-  permute_max_col_ = -1;
-  for (const auto& item : items_) {
-    if (item.expr->kind() != ExprKind::kColumnRef) break;
-    int idx = static_cast<const ColumnRefExpr&>(*item.expr).bound_index();
-    if (idx < 0) break;
-    permute_.push_back(idx);
-    permute_max_col_ = std::max(permute_max_col_, idx);
-  }
-  if (permute_.size() != items_.size()) permute_.clear();
   return Status::OK();
 }
 
@@ -198,8 +176,7 @@ bool ProjectOperator::CreatePartitions(size_t num_parts,
   std::vector<OperatorPtr> children;
   if (!child_->CreatePartitions(num_parts, &children)) return false;
   for (auto& child : children) {
-    out->push_back(std::make_unique<ProjectOperator>(std::move(child),
-                                                     CloneItems(items_)));
+    out->push_back(std::make_unique<ProjectOperator>(std::move(child), items_));
   }
   return true;
 }
@@ -231,14 +208,12 @@ bool RowSet::Insert(const Row& row) {
 // ---------------------------------------------------------------------------
 
 UnionOperator::UnionOperator(std::vector<OperatorPtr> children, bool all)
-    : children_(std::move(children)), all_(all) {}
+    : children_(std::move(children)),
+      all_(all),
+      schema_(children_.front()->schema()) {}
 
 Status UnionOperator::Open(ExecContext* ctx) {
-  if (children_.empty()) {
-    return Status::Internal("UNION requires at least one child");
-  }
   const size_t n = children_.size();
-  std::vector<Schema> schemas(n);
   std::vector<std::vector<Row>> arm_rows;
   buffered_ = ctx->num_threads > 1 && ctx->pool != nullptr;
   if (buffered_) {
@@ -248,19 +223,11 @@ Status UnionOperator::Open(ExecContext* ctx) {
     SIEVE_RETURN_IF_ERROR(
         RunWorkers(ctx, n, [&](size_t i, ExecContext* worker) {
           return Executor::Materialize(children_[i].get(), worker,
-                                       &schemas[i], &arm_rows[i]);
+                                       &arm_rows[i]);
         }));
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      SIEVE_RETURN_IF_ERROR(children_[i]->Open(ctx));
-      schemas[i] = children_[i]->schema();
-    }
-  }
-  schema_ = schemas.front();
-  for (const Schema& schema : schemas) {
-    if (schema.num_columns() != schema_.num_columns()) {
-      return Status::ExecutionError(
-          "UNION arms produce different column counts");
+    for (const OperatorPtr& child : children_) {
+      SIEVE_RETURN_IF_ERROR(child->Open(ctx));
     }
   }
   current_ = 0;
@@ -325,13 +292,9 @@ ExceptOperator::ExceptOperator(OperatorPtr left, OperatorPtr right)
 Status ExceptOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));
   SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
-  schema_ = left_->schema();
-  if (schema_.num_columns() != right_->schema().num_columns()) {
-    return Status::ExecutionError("EXCEPT arms produce different column counts");
-  }
   emitted_.clear();
   left_batch_.reset(
-      EffectiveBatchSize(ctx->batch_size, schema_.num_columns()));
+      EffectiveBatchSize(ctx->batch_size, schema().num_columns()));
   right_rows_.clear();
   RowBatch batch(
       EffectiveBatchSize(ctx->batch_size, right_->schema().num_columns()));
@@ -371,20 +334,20 @@ Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
 MaterializedScanOperator::MaterializedScanOperator(const PlannedCte* cte,
                                                    std::string qualifier)
     : label_(cte->name),
-      qualifier_(std::move(qualifier)),
-      source_(&cte->result) {}
+      schema_(QualifySchema(cte->body->schema(), qualifier)),
+      source_(&cte->rows) {}
 
 MaterializedScanOperator::MaterializedScanOperator(std::string qualifier,
                                                    OperatorPtr child)
     : label_("derived"),
-      qualifier_(std::move(qualifier)),
+      schema_(QualifySchema(child->schema(), qualifier)),
       child_(std::move(child)) {}
 
 MaterializedScanOperator::MaterializedScanOperator(
-    std::string label, std::string qualifier, const MaterializedResult* source,
+    std::string label, Schema schema, const std::vector<Row>* source,
     size_t begin, size_t end)
     : label_(std::move(label)),
-      qualifier_(std::move(qualifier)),
+      schema_(std::move(schema)),
       source_(source),
       slice_begin_(begin),
       slice_end_(end) {}
@@ -395,13 +358,11 @@ Status MaterializedScanOperator::Open(ExecContext* ctx) {
     // Executor::Materialize when the context enables parallelism. A CTE's
     // rows are already there: the executor materialized every CTE before
     // the query root opened.
-    derived_ = MaterializedResult();
-    SIEVE_RETURN_IF_ERROR(Executor::Materialize(
-        child_.get(), ctx, &derived_.schema, &derived_.rows));
+    derived_.clear();
+    SIEVE_RETURN_IF_ERROR(Executor::Materialize(child_.get(), ctx, &derived_));
   }
-  schema_ = QualifySchema(source_->schema, qualifier_);
   pos_ = slice_begin_;
-  end_ = std::min(slice_end_, source_->rows.size());
+  end_ = std::min(slice_end_, source_->size());
   return Status::OK();
 }
 
@@ -413,7 +374,7 @@ Result<bool> MaterializedScanOperator::NextBatch(ExecContext* ctx,
   while (pos_ < end_ && !out->full()) {
     // Views, not copies: the materialized rows are immutable and alive for
     // the whole query, so the batch references them directly.
-    out->AppendExternalRow(source_->rows[pos_++]);
+    out->AppendExternalRow((*source_)[pos_++]);
   }
   return !out->empty();
 }
@@ -422,9 +383,9 @@ bool MaterializedScanOperator::CreatePartitions(
     size_t num_parts, std::vector<OperatorPtr>* out) const {
   for (size_t i = 0; i < num_parts; ++i) {
     size_t begin = 0, end = 0;
-    PartitionSlice(source_->rows.size(), i, num_parts, &begin, &end);
-    out->push_back(OperatorPtr(new MaterializedScanOperator(
-        label_, qualifier_, source_, begin, end)));
+    PartitionSlice(source_->size(), i, num_parts, &begin, &end);
+    out->push_back(OperatorPtr(
+        new MaterializedScanOperator(label_, schema_, source_, begin, end)));
   }
   return true;
 }

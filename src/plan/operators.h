@@ -20,7 +20,10 @@ namespace sieve {
 class Operator;
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Physical operator. Open() prepares state; rows are then pulled a batch
+/// Physical operator. The optimizer builds each one over its children and
+/// binds every expression it hands it against its input schema, so an
+/// operator knows its output schema from construction and Open never
+/// resolves a name. Open() prepares state; rows are then pulled a batch
 /// at a time through NextBatch, the only pull interface. Operators own
 /// their children.
 ///
@@ -58,14 +61,13 @@ class Operator {
   Operator& operator=(const Operator&) = delete;
   virtual ~Operator() = default;
 
-  /// Prepares the operator for a full drain; binds expressions, opens
-  /// children, and (for blocking operators) may consume the whole input.
+  /// Prepares the operator for a full drain: opens children and (for
+  /// blocking operators) may consume the whole input.
   virtual Status Open(ExecContext* ctx) = 0;
   /// Clears *out and appends up to out->capacity() rows (see the batch
   /// contract in the class comment).
   virtual Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) = 0;
-  /// Output schema; valid after Open (leaf scans over base tables also
-  /// know it at construction).
+  /// Output schema; valid from construction.
   virtual const Schema& schema() const = 0;
   /// One-line description for EXPLAIN output.
   virtual std::string name() const = 0;
@@ -108,11 +110,23 @@ Schema QualifySchema(const Schema& schema, const std::string& qualifier);
 void PartitionSlice(size_t total, size_t part, size_t num_parts, size_t* begin,
                     size_t* end);
 
-/// 64-bit hash of a full row (used by UNION/EXCEPT dedup).
+/// 64-bit hash of a full row. With RowsEqual it is the one row-key rule:
+/// UNION/EXCEPT dedup, GROUP BY and the hash join's build table all use it.
 uint64_t RowHash64(const Row& row);
 
 /// Value-equality of two rows (SQL semantics via Value::Compare).
 bool RowsEqual(const Row& a, const Row& b);
+
+/// RowHash64 and RowsEqual as hash-table functors, for tables keyed by
+/// rows of values (group keys, join keys).
+struct RowKeyHash {
+  size_t operator()(const Row& row) const { return RowHash64(row); }
+};
+struct RowKeyEqual {
+  bool operator()(const Row& a, const Row& b) const {
+    return RowsEqual(a, b);
+  }
+};
 
 /// Exact set of rows, bucketed by RowHash64 and compared with RowsEqual:
 /// the first-occurrence filter behind UNION and EXCEPT.
@@ -128,12 +142,9 @@ class RowSet {
   std::unordered_map<uint64_t, std::vector<Row>> buckets_;
 };
 
-/// Fingerprints a row for hashing/dedup (stable across runs).
+/// Printable fingerprint of a row (stable across runs), for comparing
+/// result rows in tests; doubles print with %g, so it is no row key.
 std::string RowFingerprint(const Row& row);
-
-/// Deep-copies a SELECT list (expressions cloned) so partition workers can
-/// bind their own copies — binding mutates expression nodes in place.
-std::vector<SelectItem> CloneItems(const std::vector<SelectItem>& items);
 
 // ---------------------------------------------------------------------------
 // Scans
@@ -252,13 +263,13 @@ class IndexUnionBitmapScanOperator : public RowIdListScanOperator {
 };
 
 /// One CTE definition as planned: its body and, once the executor has
-/// materialized it, its rows. PlannedQuery lists these in dependency
-/// order, and the executor materializes them in that order before the
-/// query root opens.
+/// materialized it, its rows (in the body's schema). PlannedQuery lists
+/// these in dependency order, and the executor materializes them in that
+/// order before the query root opens.
 struct PlannedCte {
   std::string name;
   OperatorPtr body;
-  MaterializedResult result;
+  std::vector<Row> rows;
 };
 
 /// Scan over a materialized result (CTE reference or derived table). In
@@ -275,10 +286,11 @@ struct PlannedCte {
 /// partitions too.
 class MaterializedScanOperator : public Operator {
  public:
-  /// CTE reference: reads `cte->result`, which the executor fills before
-  /// the query root opens.
+  /// CTE reference: reads `cte->rows`, which the executor fills before
+  /// the query root opens. The schema is the body's, qualified.
   MaterializedScanOperator(const PlannedCte* cte, std::string qualifier);
-  /// Derived table: materializes `child` at Open.
+  /// Derived table: materializes `child` at Open. The schema is the
+  /// child's, qualified.
   MaterializedScanOperator(std::string qualifier, OperatorPtr child);
 
   Status Open(ExecContext* ctx) override;
@@ -288,21 +300,20 @@ class MaterializedScanOperator : public Operator {
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
                         std::vector<OperatorPtr>* out) const override;
-  size_t PartitionRows() const override { return source_->rows.size(); }
+  size_t PartitionRows() const override { return source_->size(); }
 
  private:
   // A partition clone: rows [begin, end) of `source`.
-  MaterializedScanOperator(std::string label, std::string qualifier,
-                           const MaterializedResult* source, size_t begin,
+  MaterializedScanOperator(std::string label, Schema schema,
+                           const std::vector<Row>* source, size_t begin,
                            size_t end);
 
   std::string label_;  // the CTE's name, or "derived"
-  std::string qualifier_;
-  OperatorPtr child_;             // derived tables only
-  MaterializedResult derived_;    // the child's rows
-  const MaterializedResult* source_ = &derived_;
   Schema schema_;
-  size_t slice_begin_ = 0;        // a clone's slice of source_->rows
+  OperatorPtr child_;              // derived tables only
+  std::vector<Row> derived_;       // the child's rows
+  const std::vector<Row>* source_ = &derived_;
+  size_t slice_begin_ = 0;         // a clone's slice of *source_
   size_t slice_end_ = static_cast<size_t>(-1);
   size_t pos_ = 0;
   size_t end_ = 0;
@@ -312,10 +323,9 @@ class MaterializedScanOperator : public Operator {
 // Relational operators
 // ---------------------------------------------------------------------------
 
-/// WHERE filter; binds `predicate` against the child schema at Open.
+/// WHERE filter over a `predicate` bound against the child's schema.
 /// Partitionable when its child is: each partition filters its own slice
-/// with a private deep clone of the predicate (binding mutates expression
-/// nodes, so partitions must not share them).
+/// with the same bound predicate, which evaluation only reads.
 ///
 /// This is where policy checks batch across tuples: one
 /// Evaluator::EvalPredicateBatch call walks the guard/Δ predicate tree
@@ -335,16 +345,17 @@ class FilterOperator : public Operator {
 
  private:
   OperatorPtr child_;
-  ExprPtr predicate_;
+  ExprPtr predicate_;  // bound; shared read-only with partition clones
   std::unique_ptr<Evaluator> evaluator_;
   RowBatch child_batch_;        // reused input buffer
   std::vector<uint8_t> pass_;   // per-row predicate verdicts
 };
 
-/// Projection of scalar expressions (no aggregates). Partitionable when its
-/// child is (expressions are deep-cloned per partition, like FilterOperator).
+/// Projection of scalar expressions (no aggregates), each bound against
+/// the child's schema. Partitionable when its child is; the partitions
+/// share the bound items, like FilterOperator's.
 ///
-/// Pure column projections (every item a bound column ref) take the child
+/// Pure column projections (every item a column ref) take the child
 /// batch whole and permute its column descriptors, so no cell is copied —
 /// wide string columns are never duplicated on the scan→project hot path.
 class ProjectOperator : public Operator {
@@ -365,8 +376,8 @@ class ProjectOperator : public Operator {
   Schema schema_;
   std::unique_ptr<Evaluator> evaluator_;
   /// Column permutation for pure column projections: output column j reads
-  /// input column permute_[j]. Non-empty only when every item is a bound
-  /// column ref.
+  /// input column permute_[j]. Non-empty only when every item is a column
+  /// ref.
   std::vector<int> permute_;
   int permute_max_col_ = -1;  // largest input column permute_ reads
   RowBatch child_batch_;  // reused input buffer
@@ -386,27 +397,22 @@ class ProjectOperator : public Operator {
 /// fanned out while it materialized, before the query root opened.
 class HashJoinOperator : public Operator {
  public:
+  /// `left_keys` are bound against left's schema, `right_keys` against
+  /// right's.
   HashJoinOperator(OperatorPtr left, OperatorPtr right,
                    std::vector<ExprPtr> left_keys,
                    std::vector<ExprPtr> right_keys);
 
   Status Open(ExecContext* ctx) override;
-  /// Probes a whole input batch per key-expression bind, emitting joined
-  /// rows batch-at-a-time.
+  /// Probes a whole input batch per call, emitting joined rows
+  /// batch-at-a-time.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
 
  private:
-  struct VecValueHash {
-    size_t operator()(const std::vector<Value>& key) const;
-  };
-  struct VecValueEq {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const;
-  };
-  using BuildTable = std::unordered_map<std::vector<Value>, std::vector<Row>,
-                                        VecValueHash, VecValueEq>;
+  using BuildTable =
+      std::unordered_map<Row, std::vector<Row>, RowKeyHash, RowKeyEqual>;
 
   /// Drains the build (right) side into build_; run once per Open.
   Status BuildHashTable(ExecContext* ctx);
@@ -450,13 +456,14 @@ class NestedLoopJoinOperator : public Operator {
 
  private:
   // A partition clone: crosses `left` against rows it borrows.
-  NestedLoopJoinOperator(OperatorPtr left, const MaterializedResult* right);
+  NestedLoopJoinOperator(OperatorPtr left, const std::vector<Row>* right,
+                         Schema schema);
 
   OperatorPtr left_;
   OperatorPtr right_;              // null on partition clones
-  MaterializedResult right_result_;  // right_'s rows, materialized at Open
-  const MaterializedResult* inner_ = &right_result_;
   Schema schema_;
+  std::vector<Row> right_rows_;    // right_'s rows, materialized at Open
+  const std::vector<Row>* inner_ = &right_rows_;
   Row current_left_;
   bool left_valid_ = false;
   size_t right_pos_ = 0;
@@ -464,9 +471,11 @@ class NestedLoopJoinOperator : public Operator {
   size_t left_pos_ = 0;      // next unconsumed row of left_batch_
 };
 
-/// Hash aggregation implementing GROUP BY + COUNT/SUM/AVG/MIN/MAX.
+/// Hash aggregation implementing GROUP BY + COUNT/SUM/AVG/MIN/MAX, with
+/// group keys and items bound against the child's schema.
 ///
-/// Open pulls the whole input on the calling thread; groups come out in
+/// Open pulls the whole input on the calling thread and groups rows by
+/// RowHash64/RowsEqual of their key values; groups come out in
 /// first-occurrence order of the input stream. A policy-filtered CTE
 /// input has already fanned out while it materialized, before the query
 /// root opened.
@@ -495,12 +504,9 @@ class HashAggregateOperator : public Operator {
     std::vector<AggState> aggs;
   };
 
-  /// Pulls child_ (already opened, expressions bound) to exhaustion,
-  /// accumulating into groups_ / group_index_.
+  /// Pulls child_ (already opened) to exhaustion, accumulating into
+  /// groups_ / group_index_.
   Status Accumulate(ExecContext* ctx);
-
-  /// Computes the output schema from the bound items_ and `input` schema.
-  void BuildOutputSchema(const Schema& input);
 
   OperatorPtr child_;
   std::vector<ExprPtr> group_by_;
@@ -508,15 +514,16 @@ class HashAggregateOperator : public Operator {
   Schema schema_;
   size_t num_aggs_ = 0;
   std::vector<GroupState> groups_;
-  std::unordered_map<std::string, size_t> group_index_;
+  // Group key values -> position in groups_.
+  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEqual> group_index_;
   size_t pos_ = 0;
 };
 
-/// UNION / UNION ALL over any number of children (schemas must have equal
-/// arity; names follow the first child). This is the shape of the MySQL-
-/// profile IndexGuards rewrite (paper Section 5.3): one arm per guard,
-/// each forcing its guard's index, deduped because two guards can admit
-/// the same tuple.
+/// UNION / UNION ALL over one or more children (the optimizer checks that
+/// their schemas have equal arity; names follow the first child). This is
+/// the shape of the MySQL-profile IndexGuards rewrite (paper Section 5.3):
+/// one arm per guard, each forcing its guard's index, deduped because two
+/// guards can admit the same tuple.
 ///
 /// Concurrent arms: when ctx->num_threads > 1, Open drains every child on
 /// the pool (each under its own worker context through
@@ -564,13 +571,12 @@ class ExceptOperator : public Operator {
   Status Open(ExecContext* ctx) override;
   /// Probes a whole minuend batch per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
-  const Schema& schema() const override { return schema_; }
+  const Schema& schema() const override { return left_->schema(); }
   std::string name() const override { return "Except"; }
 
  private:
   OperatorPtr left_;
   OperatorPtr right_;
-  Schema schema_;
   RowSet right_rows_;
   RowSet emitted_;
   RowBatch left_batch_;  // reused minuend input buffer

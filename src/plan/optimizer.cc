@@ -225,11 +225,28 @@ std::optional<Sarg> BestSarg(const std::vector<ExprPtr>& conjuncts,
   return best;
 }
 
-// Checks whether `expr` can be fully bound against `schema` (non-mutating:
-// works on a clone).
-bool BindsAgainst(const Expr& expr, const Schema& schema) {
+// A copy of `expr` bound against `schema`. The planner binds only its own
+// copies: the statement may be a cached rewrite template that concurrent
+// sessions share.
+Result<ExprPtr> BoundClone(const Expr& expr, const Schema& schema) {
   ExprPtr clone = expr.Clone();
-  return BindExpr(clone.get(), schema).ok();
+  SIEVE_RETURN_IF_ERROR(BindExpr(clone.get(), schema));
+  return clone;
+}
+
+// BoundClone for a SELECT list; COUNT(*) has no expression.
+Result<std::vector<SelectItem>> BindItems(const std::vector<SelectItem>& items,
+                                          const Schema& schema) {
+  std::vector<SelectItem> out;
+  out.reserve(items.size());
+  for (const SelectItem& item : items) {
+    SelectItem copy = item;
+    if (copy.expr != nullptr) {
+      SIEVE_ASSIGN_OR_RETURN(copy.expr, BoundClone(*item.expr, schema));
+    }
+    out.push_back(std::move(copy));
+  }
+  return out;
 }
 
 }  // namespace
@@ -293,6 +310,11 @@ Result<OperatorPtr> Optimizer::PlanStmt(const SelectStmt& stmt,
   while (link->union_next != nullptr) {
     const SelectStmt* next = link->union_next.get();
     SIEVE_ASSIGN_OR_RETURN(OperatorPtr arm, PlanCore(*next, child_scope, out));
+    if (arm->schema().num_columns() != result->schema().num_columns()) {
+      return Status::BindError(
+          std::string(link->set_op == SetOpKind::kExcept ? "EXCEPT" : "UNION") +
+          " arms produce different column counts");
+    }
     if (link->set_op == SetOpKind::kExcept) {
       result = std::make_unique<ExceptOperator>(std::move(result),
                                                 std::move(arm));
@@ -336,7 +358,7 @@ Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
                              PlanStmt(*def->body, *def->scope, out));
       def->planning = false;
       out->ctes.push_back(std::make_unique<PlannedCte>(
-          PlannedCte{def->name, std::move(body), MaterializedResult()}));
+          PlannedCte{def->name, std::move(body), {}}));
       def->planned = out->ctes.back().get();
     }
     return std::make_unique<MaterializedScanOperator>(def->planned,
@@ -485,7 +507,8 @@ Result<OperatorPtr> Optimizer::PlanCore(const SelectStmt& stmt,
       current = std::move(next);
       continue;
     }
-    // Probe the schemas of both sides for join keys.
+    // Join keys: equi-conjuncts whose sides each bind against exactly one
+    // input, bound against that input.
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
     for (const auto& conjunct : conjuncts) {
@@ -496,16 +519,18 @@ Result<OperatorPtr> Optimizer::PlanCore(const SelectStmt& stmt,
           cmp.right()->kind() != ExprKind::kColumnRef) {
         continue;
       }
-      bool l_in_left = BindsAgainst(*cmp.left(), current->schema());
-      bool l_in_right = BindsAgainst(*cmp.left(), next->schema());
-      bool r_in_left = BindsAgainst(*cmp.right(), current->schema());
-      bool r_in_right = BindsAgainst(*cmp.right(), next->schema());
-      if (l_in_left && !l_in_right && r_in_right && !r_in_left) {
-        left_keys.push_back(cmp.left()->Clone());
-        right_keys.push_back(cmp.right()->Clone());
-      } else if (r_in_left && !r_in_right && l_in_right && !l_in_left) {
-        left_keys.push_back(cmp.right()->Clone());
-        right_keys.push_back(cmp.left()->Clone());
+      auto l_in_left = BoundClone(*cmp.left(), current->schema());
+      auto l_in_right = BoundClone(*cmp.left(), next->schema());
+      auto r_in_left = BoundClone(*cmp.right(), current->schema());
+      auto r_in_right = BoundClone(*cmp.right(), next->schema());
+      if (l_in_left.ok() && !l_in_right.ok() && r_in_right.ok() &&
+          !r_in_left.ok()) {
+        left_keys.push_back(std::move(l_in_left).value());
+        right_keys.push_back(std::move(r_in_right).value());
+      } else if (r_in_left.ok() && !r_in_right.ok() && l_in_right.ok() &&
+                 !l_in_left.ok()) {
+        left_keys.push_back(std::move(r_in_left).value());
+        right_keys.push_back(std::move(l_in_right).value());
       }
     }
     if (!left_keys.empty()) {
@@ -520,32 +545,28 @@ Result<OperatorPtr> Optimizer::PlanCore(const SelectStmt& stmt,
 
   // Residual filter: the full WHERE clause (access paths only pre-filter).
   if (stmt.where != nullptr) {
+    SIEVE_ASSIGN_OR_RETURN(ExprPtr predicate,
+                           BoundClone(*stmt.where, current->schema()));
     current = std::make_unique<FilterOperator>(std::move(current),
-                                               stmt.where->Clone());
+                                               std::move(predicate));
   }
 
   // Aggregate / project.
+  const Schema& input = current->schema();
   if (stmt.HasAggregates() || !stmt.group_by.empty()) {
     std::vector<ExprPtr> group_by;
     group_by.reserve(stmt.group_by.size());
-    for (const auto& g : stmt.group_by) group_by.push_back(g->Clone());
-    std::vector<SelectItem> items;
-    items.reserve(stmt.items.size());
-    for (const auto& item : stmt.items) {
-      SelectItem copy = item;
-      if (copy.expr != nullptr) copy.expr = copy.expr->Clone();
-      items.push_back(std::move(copy));
+    for (const auto& g : stmt.group_by) {
+      SIEVE_ASSIGN_OR_RETURN(ExprPtr key, BoundClone(*g, input));
+      group_by.push_back(std::move(key));
     }
+    SIEVE_ASSIGN_OR_RETURN(std::vector<SelectItem> items,
+                           BindItems(stmt.items, input));
     current = std::make_unique<HashAggregateOperator>(
         std::move(current), std::move(group_by), std::move(items));
   } else if (!stmt.select_star) {
-    std::vector<SelectItem> items;
-    items.reserve(stmt.items.size());
-    for (const auto& item : stmt.items) {
-      SelectItem copy = item;
-      copy.expr = copy.expr->Clone();
-      items.push_back(std::move(copy));
-    }
+    SIEVE_ASSIGN_OR_RETURN(std::vector<SelectItem> items,
+                           BindItems(stmt.items, input));
     current =
         std::make_unique<ProjectOperator>(std::move(current), std::move(items));
   }

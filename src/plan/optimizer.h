@@ -57,6 +57,13 @@ struct PlannedQuery {
 /// profile), extracts hash-join keys from WHERE equi-conjuncts, and stacks
 /// filter/aggregate/project/union operators.
 ///
+/// Name resolution happens here and nowhere else: each operator knows its
+/// output schema from construction, and the planner binds a copy of every
+/// expression it hands an operator (residual WHERE, join keys, group keys,
+/// select items) against that operator's input schema. A column that does
+/// not resolve, or set-operation arms of different widths, fail planning
+/// with kBindError, so EXPLAIN reports them too.
+///
 /// CTE names resolve lexically: a WITH list's names are visible to its
 /// statement and to every body in the list (siblings may reference each
 /// other in any order), the innermost scope wins, and a name defined twice

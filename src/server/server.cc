@@ -887,9 +887,11 @@ void SieveServer::ReplyCursorChunk(Connection* conn, uint32_t want) {
 
 void SieveServer::FinishCursor(Connection* conn, bool abandon) {
   if (conn->cursor) {
+    // Uncount the cursor before closing it: closing releases its epoch
+    // pin, and a writer that pin held may read STATS as soon as it runs.
+    open_cursors_.fetch_sub(1);
     if (abandon) conn->cursor->Close();
     conn->cursor.reset();
-    open_cursors_.fetch_sub(1);
     // Drain bookkeeping: cursors that close while Stop() waits count as
     // drained; those still alive at the hard stop count as aborted.
     if (hard_stop_.load(std::memory_order_acquire)) {

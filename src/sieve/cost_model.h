@@ -42,7 +42,6 @@ class CostModel {
   explicit CostModel(CostParams params) : params_(params) {}
 
   const CostParams& params() const { return params_; }
-  void set_params(CostParams p) { params_ = p; }
 
   /// Eq. 2: cost of evaluating one tuple against an inlined partition of
   /// `partition_size` policies.

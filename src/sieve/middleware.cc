@@ -48,10 +48,6 @@ Status SieveMiddleware::Init() {
   if (!db_->udfs().Contains(kDeltaUdfName)) {
     SIEVE_RETURN_IF_ERROR(RegisterDeltaUdf(db_, &guards_));
   }
-  if (options_.calibrate_cost_model) {
-    SIEVE_ASSIGN_OR_RETURN(CostParams params, CostModel::Calibrate(db_));
-    cost_.set_params(params);
-  }
   dynamics_.set_mode(options_.regeneration_mode);
   return Status::OK();
 }

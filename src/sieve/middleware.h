@@ -26,9 +26,6 @@ class ResultCursor;
 struct SieveOptions {
   /// Query timeout in seconds (the paper's experiments use 30 s; 0 = none).
   double timeout_seconds = 30.0;
-  /// Run cost-model calibration micro-benchmarks at Init (otherwise the
-  /// compiled-in defaults are used). Only honored at Init.
-  bool calibrate_cost_model = false;
   /// Regeneration mode for dynamic policy insertions.
   RegenerationMode regeneration_mode = RegenerationMode::kLazy;
   /// Partition-parallel execution on at most this many threads (the
@@ -47,11 +44,6 @@ struct SieveOptions {
   /// identical rows, order and ExecStats. Must be >= 0 (validated by
   /// set_options).
   int batch_size = static_cast<int>(kDefaultBatchSize);
-  /// Record every enforcement decision in the audit log (sessions append
-  /// one AuditRecord per execution; FlushAuditLog materializes them into
-  /// the queryable `sieve_audit` table). Off saves the per-execution
-  /// bookkeeping for microbenchmarks.
-  bool audit_log = true;
   /// Retention bound on the queryable `sieve_audit` table: when a flush
   /// leaves more than this many live rows, the oldest rows (lowest seq)
   /// are truncated first until the bound holds. 0 (the default) keeps the
@@ -131,8 +123,8 @@ class SieveMiddleware {
   ~SieveMiddleware();
 
   /// Creates the policy/guard catalog tables (including the `sieve_audit`
-  /// audit table), registers the Δ UDF and (optionally) calibrates the
-  /// cost model.
+  /// audit table) and registers the Δ UDF. The cost model keeps its
+  /// compiled-in constants; CostModel::Calibrate measures them on demand.
   Status Init();
 
   /// Adds a policy through the dynamic manager (marks affected guards
@@ -162,7 +154,6 @@ class SieveMiddleware {
 
   /// Atomically replaces the tuning options for subsequent executions.
   /// Rejects invalid settings (num_threads < 1, negative timeout).
-  /// `calibrate_cost_model` changes are ignored after Init.
   Status set_options(const SieveOptions& options);
 
   /// Current policy epoch: the sum of the policy- and guard-store version

@@ -176,7 +176,6 @@ Result<std::vector<Value>> PreparedQuery::ResolveNamed(
 }
 
 Status PreparedQuery::MaybeFlushAuditReads() {
-  if (!mw_->options_.audit_log) return Status::OK();
   for (const std::string& table : rewrite_->dep_tables) {
     if (table == AuditLog::kTableName) return mw_->FlushAuditLog();
   }
@@ -204,7 +203,7 @@ Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params,
             *bound, &md_,
             EffectiveTimeout(opts.timeout_seconds, deadline_seconds),
             opts.num_threads, opts.batch_size);
-        if (opts.audit_log && result.ok()) {
+        if (result.ok()) {
           // Leaf-locked append while still holding the state lock shared:
           // the record names exactly the policies/guards of the snapshot
           // this execution ran with.
@@ -251,17 +250,12 @@ Result<ResultCursor> PreparedQuery::OpenCursor(
                 opts.num_threads, opts.batch_size));
         // The audit record travels with the cursor and is appended once
         // the stream finishes, carrying the cursor's final stats.
-        std::unique_ptr<AuditRecord> record;
-        if (opts.audit_log) {
-          record = std::make_unique<AuditRecord>(
-              AuditLog::MakeRecord(md_, *rewrite_, TakeCacheState(attempt > 0),
-                                   ExecStats{}));
-        }
+        auto record = std::make_unique<AuditRecord>(AuditLog::MakeRecord(
+            md_, *rewrite_, TakeCacheState(attempt > 0), ExecStats{}));
         // The shared lock transfers into the cursor: the policy corpus
         // stays pinned until the cursor is drained or destroyed.
         return ResultCursor(std::move(lock), std::move(md), std::move(bound),
-                            std::move(cursor),
-                            opts.audit_log ? &mw_->audit_log_ : nullptr,
+                            std::move(cursor), &mw_->audit_log_,
                             std::move(record));
       }
     }

@@ -114,7 +114,7 @@ class ResultCursor {
   /// appends it (leaf lock — safe while still holding the epoch pin
   /// shared), then releases the pin.
   void Finish() {
-    if (audit_record_ != nullptr && audit_ != nullptr) {
+    if (audit_record_ != nullptr) {  // null once finished or moved from
       const ExecStats& s = cursor_->stats();
       audit_record_->rows_out = static_cast<int64_t>(s.rows_output);
       audit_record_->comparisons = static_cast<int64_t>(s.comparisons);
@@ -129,7 +129,7 @@ class ResultCursor {
   std::unique_ptr<QueryMetadata> metadata_;         // referenced by cursor_
   SelectStmtPtr bound_stmt_;                        // keeps the plan's source alive
   std::unique_ptr<QueryCursor> cursor_;
-  AuditLog* audit_ = nullptr;                  // null when auditing is off
+  AuditLog* audit_ = nullptr;
   std::unique_ptr<AuditRecord> audit_record_;  // pending until Finish
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace sieve {
 namespace {
 
@@ -290,6 +294,132 @@ TEST_F(EngineTest, ErrorOnUnknownTable) {
 
 TEST_F(EngineTest, ErrorOnUnknownColumn) {
   EXPECT_FALSE(db_.ExecuteSql("SELECT * FROM events WHERE nope = 1").ok());
+}
+
+// t(id, val = id % 100) with 1,000 rows, and u(v, d = v) with 100 rows, an
+// int and a double column holding the same numbers.
+class NumericJoinTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.CreateTable("t", Schema({{"id", DataType::kInt},
+                                             {"val", DataType::kInt}}))
+                    .ok());
+    ASSERT_TRUE(db_.CreateTable("u", Schema({{"v", DataType::kInt},
+                                             {"d", DataType::kDouble}}))
+                    .ok());
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(
+          db_.Insert("t", Row{Value::Int(i), Value::Int(i % 100)}).ok());
+    }
+    for (int v = 0; v < 100; ++v) {
+      ASSERT_TRUE(db_.Insert("u", Row{Value::Int(v), Value::Double(v)}).ok());
+    }
+  }
+
+  ResultSet Run(const std::string& sql) {
+    auto result = db_.ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+    return result.ok() ? std::move(result).value() : ResultSet();
+  }
+
+  static std::vector<std::string> Fingerprints(const ResultSet& rs) {
+    std::vector<std::string> out;
+    for (const Row& row : rs.rows) out.push_back(RowFingerprint(row));
+    return out;
+  }
+
+  Database db_;
+};
+
+TEST_F(NumericJoinTest, IntEqualsDoubleAcrossOperators) {
+  // Value::Compare calls Int(5) and Double(5.0) equal, so every hashed
+  // path must match them too.
+  EXPECT_EQ(Run("SELECT * FROM t, u WHERE t.val = u.d").size(), 1000u);
+  EXPECT_EQ(Run("WITH c AS (SELECT * FROM t) "
+                "SELECT * FROM c, u WHERE c.val = u.d")
+                .size(),
+            1000u);
+  EXPECT_EQ(Run("SELECT * FROM u WHERE d IN (1, 2)").size(), 2u);
+  EXPECT_EQ(Run("SELECT * FROM u WHERE d = 1 OR d = 2").size(), 2u);
+  EXPECT_EQ(Run("SELECT v FROM u WHERE v < 3 UNION "
+                "SELECT d FROM u WHERE d < 3")
+                .size(),
+            3u);
+  EXPECT_EQ(Run("SELECT v FROM u WHERE v < 3 EXCEPT "
+                "SELECT d FROM u WHERE d < 3")
+                .size(),
+            0u);
+}
+
+TEST_F(NumericJoinTest, GroupByKeepsDistinctDoublesApart) {
+  // Doubles that print alike under %g are still distinct group keys.
+  ASSERT_TRUE(db_.CreateTable("m", Schema({{"d", DataType::kDouble}})).ok());
+  const double values[] = {1234567, 1234568, 1234569, 0.1, 0.1000001};
+  for (double d : values) {
+    ASSERT_TRUE(db_.Insert("m", Row{Value::Double(d)}).ok());
+  }
+  ResultSet groups = Run("SELECT d, COUNT(*) AS n FROM m GROUP BY d");
+  ASSERT_EQ(groups.size(), 5u);
+  for (size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(groups.rows[i][0].AsDouble(), values[i]);
+    EXPECT_EQ(groups.rows[i][1].AsInt(), 1);
+  }
+}
+
+TEST_F(NumericJoinTest, GroupByMergesEqualIntsAndDoubles) {
+  // An int and a double of equal value share a group, which keeps its
+  // first occurrence's type.
+  ResultSet groups = Run(
+      "SELECT x, COUNT(*) AS n FROM (SELECT v AS x FROM u WHERE v < 2 "
+      "UNION ALL SELECT d AS x FROM u WHERE d < 2) AS s GROUP BY x");
+  ASSERT_EQ(groups.size(), 2u);
+  for (int64_t x = 0; x < 2; ++x) {
+    EXPECT_EQ(groups.rows[x][0].type(), DataType::kInt);
+    EXPECT_EQ(groups.rows[x][0].AsInt(), x);
+    EXPECT_EQ(groups.rows[x][1].AsInt(), 2);
+  }
+}
+
+TEST_F(NumericJoinTest, JoinThroughCteOrDerivedTableIsAHashJoin) {
+  // With t behind a CTE or a derived table, the planner still sees its
+  // columns, so the equi-join hashes: the residual filter compares only
+  // the 1,000 matching pairs instead of the 100,000-pair product, and rows
+  // and row order equal the base-table join's. u.v is an int key, u.d a
+  // double one.
+  for (const std::string col : {"v", "d"}) {
+    const std::pair<std::string, std::string> cases[] = {
+        {"SELECT * FROM t, u WHERE t.val = u." + col,
+         "WITH c AS (SELECT * FROM t) SELECT * FROM c, u WHERE c.val = u." +
+             col},
+        {"SELECT * FROM t, u WHERE t.val = u." + col,
+         "SELECT * FROM (SELECT * FROM t) AS s, u WHERE s.val = u." + col},
+        {"SELECT * FROM u, t WHERE t.val = u." + col,
+         "SELECT * FROM u, (SELECT * FROM t) AS s WHERE s.val = u." + col},
+    };
+    for (const auto& [base_sql, sql] : cases) {
+      ResultSet base = Run(base_sql);
+      ResultSet wrapped = Run(sql);
+      EXPECT_EQ(base.size(), 1000u) << base_sql;
+      EXPECT_EQ(Fingerprints(wrapped), Fingerprints(base)) << sql;
+      EXPECT_EQ(base.stats.comparisons, 1000u) << base_sql;
+      EXPECT_EQ(wrapped.stats.comparisons, 1000u) << sql;
+    }
+  }
+}
+
+TEST_F(NumericJoinTest, SetOpArmWidthMismatchIsABindError) {
+  const char* sqls[] = {
+      "SELECT id FROM t UNION SELECT v, d FROM u",
+      "SELECT id FROM t EXCEPT SELECT v, d FROM u",
+  };
+  for (const char* sql : sqls) {
+    auto explain = db_.ExplainSql(sql);
+    ASSERT_FALSE(explain.ok()) << sql;
+    EXPECT_EQ(explain.status().code(), StatusCode::kBindError) << sql;
+    auto result = db_.ExecuteSql(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kBindError) << sql;
+  }
 }
 
 TEST(EngineProfileTest, PostgresIgnoresHints) {

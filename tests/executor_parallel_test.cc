@@ -421,6 +421,17 @@ TEST(InteriorOperatorTest, CteMaterializesOnceAcrossWorkers) {
       "SELECT val FROM p WHERE id > 2000");
 }
 
+TEST(InteriorOperatorTest, MorselsShareOneBoundInList) {
+  // The CTE body's filter splits into morsels that share its bound IN node
+  // and the constant set BindExpr built; evaluation only reads them, so the
+  // morsels match the serial run (CI repeats this test under TSan).
+  auto db = MakeTable(6000);
+  ExpectParallelMatchesSerial(
+      db.get(),
+      "WITH p AS (SELECT id, val FROM t WHERE val IN (1, 3, 5)) "
+      "SELECT * FROM p");
+}
+
 TEST(InteriorOperatorTest, SameNamedCtesInDifferentScopesStayApart) {
   // Each derived table defines its own `x`; each reference must read its
   // own definition's rows, at every thread count.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace sieve {
 namespace {
 
@@ -76,6 +78,33 @@ TEST(ValueTest, SqlLiteralQuoting) {
 
 TEST(ValueTest, HashDistinguishesFamilies) {
   EXPECT_NE(Value::Int(5).Hash(), Value::Time(5).Hash());
+}
+
+// Every pair Compare calls equal must hash equal, or hash joins, IN sets,
+// UNION/EXCEPT and GROUP BY miss matches an int and a double make.
+TEST(ValueTest, EqualNumbersHashEqual) {
+  const std::pair<Value, Value> equal[] = {
+      {Value::Int(1), Value::Double(1.0)},
+      {Value::Int(0), Value::Double(-0.0)},
+      {Value::Double(0.0), Value::Double(-0.0)},
+      {Value::Int(-7), Value::Double(-7.0)},
+      {Value::Int((int64_t{1} << 53) - 1),
+       Value::Double(9007199254740991.0)},
+      // From 2^53 on, an int compares through its rounded double, so
+      // 2^53 + 1 equals the double 2^53 (and so does the int 2^53).
+      {Value::Int(int64_t{1} << 53), Value::Double(9007199254740992.0)},
+      {Value::Int((int64_t{1} << 53) + 1), Value::Double(9007199254740992.0)},
+      {Value::Int(-(int64_t{1} << 53) - 1),
+       Value::Double(-9007199254740992.0)},
+      {Value::Int(int64_t{1} << 62), Value::Double(4611686018427387904.0)},
+  };
+  for (const auto& [a, b] : equal) {
+    ASSERT_EQ(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+  }
+  // Unequal values may still collide, but these must not.
+  EXPECT_NE(Value::Int(1).Hash(), Value::Double(1.5).Hash());
+  EXPECT_NE(Value::Int(1).Hash(), Value::Int(2).Hash());
 }
 
 TEST(ValueTest, LeapYearDates) {
